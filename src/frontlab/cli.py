@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -130,45 +131,50 @@ def _add_param_flags(sp, required: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # trajectory CSV round-trip (shared by simulate / analyze / experiment)
 
+# The reader checks this line exactly. It starts with "#" so that tools
+# which skip comment lines, np.loadtxt among them, read the table directly.
+_TRAJECTORY_HEADER = ("# frontlab trajectory: grid row nan x_0..x_n; "
+                     "then one row t u(x_0)..u(x_n) per snapshot")
+
+
 def write_trajectory_csv(path: Path, traj: SolutionTrajectory) -> None:
-    x = traj.grid.x
-    rows = []
-    for t, fld in zip(traj.times, traj.fields):
-        for xi, ui in zip(x, fld.values):
-            rows.append((t, xi, ui))
-    _write_csv(path, ("t", "x", "u"), rows)
+    """Write the header, the grid row, then one `t,u(x)...` row per snapshot."""
+    table = np.empty((len(traj.times) + 1, traj.grid.x.size + 1))
+    table[0, 0] = math.nan
+    table[0, 1:] = traj.grid.x
+    table[1:, 0] = traj.times
+    for row, fld in zip(table[1:, 1:], traj.fields):
+        row[:] = fld.values
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",",
+               header=_TRAJECTORY_HEADER, comments="")
+    _atomic_write(path, buf.getvalue())
 
 
 def read_trajectory_csv(path: Path) -> SolutionTrajectory:
-    """Rebuild a trajectory from the long-format `t,x,u` table."""
-    times, blocks = [], []
-    cur_t, cur_x, cur_u = None, [], []
+    """Rebuild a trajectory written by `write_trajectory_csv`."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,x,u":
+        header = fh.readline().rstrip("\n")
+        if header != _TRAJECTORY_HEADER:
             raise DomainError(f"unexpected trajectory header {header!r}")
-        for line in fh:
-            st, sx, su = line.rstrip("\n").split(",")
-            tv = float(st)
-            if cur_t is None or tv != cur_t:
-                if cur_t is not None:
-                    times.append(cur_t)
-                    blocks.append((np.asarray(cur_x), np.asarray(cur_u)))
-                cur_t, cur_x, cur_u = tv, [], []
-            cur_x.append(float(sx))
-            cur_u.append(float(su))
-    if cur_t is not None:
-        times.append(cur_t)
-        blocks.append((np.asarray(cur_x), np.asarray(cur_u)))
-    if not blocks:
+        grid_row = fh.readline()
+        if not grid_row.strip():
+            raise DomainError("trajectory file holds no grid row")
+        try:
+            table = np.loadtxt(itertools.chain([grid_row], fh),
+                               delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"malformed trajectory table: {exc}") from None
+    if table.shape[0] < 2:
         raise DomainError("trajectory file holds no snapshots")
-    x_ref = blocks[0][0]
-    for xb, _ in blocks[1:]:
-        if xb.shape != x_ref.shape or not np.array_equal(xb, x_ref):
-            raise DomainError("trajectory snapshots disagree on the grid")
-    grid = Grid(x=x_ref, kind="loaded")
-    fields = tuple(field_build(ub, t) for t, (_, ub) in zip(times, blocks))
-    return SolutionTrajectory(grid=grid, times=tuple(times), fields=fields,
+    if not np.isnan(table[0, 0]):
+        raise DomainError("trajectory grid row must start with nan")
+    if not np.all(np.isfinite(table.ravel()[1:])):
+        raise DomainError("trajectory grid, times or values are not finite")
+    grid = Grid(x=table[0, 1:].copy(), kind="loaded")
+    times = tuple(table[1:, 0].tolist())
+    fields = tuple(field_build(u, t) for t, u in zip(times, table[1:, 1:]))
+    return SolutionTrajectory(grid=grid, times=times, fields=fields,
                               dt_history=np.asarray([]),
                               max_residual=math.nan)
 
@@ -392,11 +398,7 @@ def _cmd_sweep(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     cells = [(args.m, float(a), float(b)) for a in alphas for b in betas]
-    if cells:
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(*c), cells))
-    else:
-        rows = []
+    rows = [_sweep_cell(*c) for c in cells]
     path = Path(args.out) / "sweep.csv"
     _write_csv(path, ("m", "alpha", "beta", "regime", "gamma", "exponent",
                       "label", "status"), rows)
@@ -421,8 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON config document")
     common.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for artifacts")
-    common.add_argument("--jobs", type=int, default=4,
-                        help="worker pool size for sweeps")
     common.add_argument("--json", dest="as_json", action="store_true",
                         help="compact single-line JSON on stdout")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,10 +23,8 @@ from .regimes import Regime, classify, gamma_effective
 __all__ = [
     "GrowthSolution", "SubsolutionSpec", "Check",
     "growth_eval", "blowup_time", "blowup_time_tail", "level_curve",
-    "tau_of_t", "pme_bump_params", "pme_bump_eval", "fde_sub_params",
-    "fde_sub_eval", "appendix_sub_params", "growth_super",
-    "growth_super_eval", "constant_speed_super", "right_tail_super",
-    "right_tail_spec", "describe",
+    "pme_bump_params", "fde_sub_params", "appendix_sub_params",
+    "growth_super", "constant_speed_super", "right_tail_spec", "describe",
 ]
 
 
@@ -181,25 +179,6 @@ def level_curve(theta: float, t, C: float, alpha: float, beta: float,
     return float(out) if out.ndim == 0 else out
 
 
-def tau_of_t(m: float, r_bar: float, t):
-    """Rescaled time: saturating for m<1, identity at m=1, growing for m>1."""
-    if not (m > 0 and r_bar > 0):
-        raise DomainError("need m > 0 and r_bar > 0")
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0.0):
-        raise DomainError("t must be nonnegative")
-    if m == 1.0:
-        out = ta.copy()
-    elif m < 1.0:
-        k = (1.0 - m) * r_bar
-        out = -np.expm1(-k * ta) / k
-    else:
-        k = (m - 1.0) * r_bar
-        out = np.expm1(k * ta) / k
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
-
-
 def _time_to_reach(u_from: float, w_to: float, rho: float, beta: float) -> float:
     if w_to <= u_from:
         return 0.0
@@ -309,13 +288,6 @@ def pme_bump_params(params: ModelParams, epsilon: float,
     return SubsolutionSpec(kind="pme-bump", constants=constants,
                            checks=checks, evaluate=evaluate, sampler=sampler,
                            sign=-1)
-
-
-def pme_bump_eval(spec: SubsolutionSpec, t: float, x):
-    """Evaluate a bump subsolution spec at (t, x)."""
-    if spec.kind != "pme-bump":
-        raise DomainError(f"expected a pme-bump spec, got {spec.kind!r}")
-    return spec.evaluate(t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +441,6 @@ def fde_sub_params(params: ModelParams, epsilon: float,
     return SubsolutionSpec(kind="fde-plateau", constants=constants,
                            checks=checks, evaluate=evaluate, sampler=sampler,
                            sign=-1)
-
-
-def fde_sub_eval(spec: SubsolutionSpec, t: float, x):
-    """Evaluate a plateau-cut subsolution spec at (t, x)."""
-    if spec.kind != "fde-plateau":
-        raise DomainError(f"expected an fde-plateau spec, got {spec.kind!r}")
-    return spec.evaluate(t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -738,11 +703,6 @@ def growth_super(params: ModelParams, epsilon: float,
                            sign=+1)
 
 
-def growth_super_eval(params: ModelParams, epsilon: float, t: float, x):
-    """Evaluate the clamped growth supersolution min(1, w) at (t, x)."""
-    return growth_super(params, epsilon).evaluate(t, x)
-
-
 # ---------------------------------------------------------------------------
 # constant-speed power-tail supersolution (no-acceleration regime)
 
@@ -850,26 +810,6 @@ def _right_tail_positivity(eps: float, mu: float, m: float) -> float:
     h = (1.0 - mu * m * w ** (m - 1.0)
          - mu * m * (m - 1.0) * (w - eps) * w ** (m - 2.0))
     return float(h.min())
-
-
-def right_tail_super(eps: float, mu: float, x0: float, tau: float, x,
-                     m: float):
-    """min(1, eps + exp(-mu (x - x0 - tau))): a right-tail decay supersolution.
-
-    The rate mu must satisfy the positivity condition tied to the diffusion
-    exponent m (checked here, since the certificate depends on m).
-    """
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0,1)")
-    if not mu > 0.0:
-        raise DomainError("mu must be positive")
-    if _right_tail_positivity(eps, mu, m) < 0.0:
-        raise InfeasibleSelection(
-            "right-tail supersolution: mu fails the positivity condition")
-    arr = np.asarray(x, dtype=float)
-    out = np.minimum(1.0, eps + np.exp(-mu * (arr - x0 - tau)))
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
 
 
 def right_tail_spec(params: ModelParams, eps: float = 0.1,

@@ -9,11 +9,12 @@ from frontlab.cli import main, read_trajectory_csv, write_trajectory_csv
 from frontlab.errors import DomainError
 from frontlab.model import (
     ModelParams,
+    field_build,
     grid_build,
     initial_data_build,
 )
 from frontlab.regimes import classify
-from frontlab.solver import SolverConfig, simulate
+from frontlab.solver import SolutionTrajectory, SolverConfig, simulate
 
 
 def tiny_config(tmp_path, **solver_over):
@@ -176,17 +177,45 @@ def test_trajectory_csv_round_trips_exactly(tmp_path):
     assert np.array_equal(back.grid.x, traj.grid.x)
     for fa, fb in zip(traj.fields, back.fields):
         assert np.array_equal(fa.values, fb.values)
+    # the layout the README documents: header, grid row, one row per snapshot
+    header, grid_row, *snapshot_rows = path.read_text().splitlines()
+    assert (header == "# frontlab trajectory: grid row nan x_0..x_n; "
+                      "then one row t u(x_0)..u(x_n) per snapshot"
+            and grid_row.startswith("nan,")
+            and len(snapshot_rows) == len(traj.times))
 
 
 def test_trajectory_reader_guards_the_format(tmp_path):
+    traj = SolutionTrajectory(
+        grid=grid_build("uniform", 0.0, 1.0, 2), times=(0.0, 0.5),
+        fields=(field_build([1.0, 0.5, 0.0], 0.0),
+                field_build([1.0, 0.6, 0.1], 0.5)),
+        dt_history=np.asarray([]), max_residual=float("nan"))
+    good = tmp_path / "good.csv"
+    write_trajectory_csv(good, traj)
+    assert read_trajectory_csv(good).times == traj.times
+    header, grid_row, row0, row1 = good.read_text().splitlines()
+
+    def with_cell(row, i, text):
+        cells = row.split(",")
+        cells[i] = text
+        return ",".join(cells)
+
+    malformed = (
+        ["t,x,u", "0,0,0"],                                  # wrong header
+        [header],                                            # no rows
+        [header, grid_row],                                  # no snapshots
+        [header, row0, row1],                                # no grid row
+        [header, grid_row, row0 + ",0.5", row1],             # ragged row
+        [header, with_cell(grid_row, 1, "nan"), row0, row1],
+        [header, grid_row, with_cell(row0, 0, "inf"), row1],
+        [header, grid_row, row0, with_cell(row1, 2, "nan")],
+    )
     bad = tmp_path / "bad.csv"
-    bad.write_text("time,pos,val\n0,0,0\n")
-    with pytest.raises(DomainError):
-        read_trajectory_csv(bad)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("t,x,u\n")
-    with pytest.raises(DomainError):
-        read_trajectory_csv(empty)
+    for lines in malformed:
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError):
+            read_trajectory_csv(bad)
 
 
 # --- experiment ---------------------------------------------------------------------
@@ -219,7 +248,7 @@ def test_experiment_report_carries_the_envelope_verdict(tmp_path):
 def test_sweep_rows_agree_with_classify(tmp_path, capsys):
     rc = main(["sweep", "--m", "2", "--alpha-min", "0.5", "--alpha-max", "3",
                "--alpha-steps", "3", "--beta-min", "1", "--beta-max", "2",
-               "--beta-steps", "3", "--out", str(tmp_path), "--jobs", "2"])
+               "--beta-steps", "3", "--out", str(tmp_path)])
     assert rc == 0
     assert last_json(capsys)["rows"] == 9
     with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:

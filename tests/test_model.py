@@ -186,6 +186,12 @@ def test_field_clips_round_off_band_only():
         field_build(np.array([-0.5, 0.2]), 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_rejects_non_finite_values(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        field_build(np.array([0.5, bad, 0.2]), 0.0)
+
+
 def test_field_is_read_only():
     f = field_build(np.array([0.1, 0.2]), 0.0)
     with pytest.raises(ValueError):
