@@ -41,7 +41,12 @@ class BlowUp(FrontlabError):
 
 
 class StabilityFailure(FrontlabError):
-    """Explicit update left the trusted range before clamping."""
+    """A time step broke down.
+
+    Either the explicit update left the trusted range before clamping, or
+    the semi-implicit system held a non-finite entry or its tridiagonal
+    solve failed.
+    """
 
 
 class DomainExhausted(FrontlabError):

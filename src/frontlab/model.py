@@ -7,6 +7,7 @@ right. alpha = inf selects a light (exponential) tail instead.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ class ModelParams:
     m: diffusion exponent (> 0); alpha: tail exponent in (0, inf];
     beta: reaction degeneracy (>= 1); r <= r_bar: reaction rate bounds;
     C <= C_bar: tail constant bounds; s0: small-density threshold;
-    x0: tail onset abscissa (> 1).
+    x0: tail onset abscissa (> 1). Every field but alpha must be finite.
     """
 
     m: float
@@ -47,6 +48,10 @@ class ModelParams:
     x0: float
 
     def __post_init__(self) -> None:
+        for key in CONFIG_KEYS:
+            val = getattr(self, key)
+            if key != "alpha" and not math.isfinite(val):
+                raise DomainError(f"{key} must be finite, got {val}")
         if not self.m > 0:
             raise DomainError(f"m must be positive, got {self.m}")
         if not self.alpha > 0:
@@ -276,6 +281,23 @@ def initial_data_build(C_or_Cbar: float, alpha: float, x0: float,
 
 
 @dataclass(frozen=True)
+class Stencil:
+    """dt-independent factors of a grid's nonuniform 3-point second difference.
+
+    ``hl``/``hr`` are the cell widths left and right of each interior node,
+    ``w`` = 2/(hl+hr) and ``inv_sum`` = 1/hl + 1/hr; ``h0_sq``/``hn_sq``
+    square the end cells for the zero-flux ghost rows.
+    """
+
+    hl: np.ndarray
+    hr: np.ndarray
+    w: np.ndarray
+    inv_sum: np.ndarray
+    h0_sq: float
+    hn_sq: float
+
+
+@dataclass(frozen=True)
 class Grid:
     """Strictly increasing abscissas, uniform or geometrically stretched."""
 
@@ -299,6 +321,17 @@ class Grid:
     @property
     def spacings(self) -> np.ndarray:
         return np.diff(self.x)
+
+    @functools.cached_property
+    def stencil(self) -> Stencil:
+        """Built on first use and kept as long as the grid lives."""
+        h = np.diff(self.x)
+        hl, hr = h[:-1], h[1:]
+        w, inv_sum = 2.0 / (hl + hr), 1.0 / hl + 1.0 / hr
+        for arr in (h, w, inv_sum):
+            arr.setflags(write=False)
+        return Stencil(hl=hl, hr=hr, w=w, inv_sum=inv_sum,
+                       h0_sq=h[0] ** 2, hn_sq=h[-1] ** 2)
 
 
 def grid_build(kind: str, x_left: float, x_right: float, n: int,

@@ -3,6 +3,11 @@
 Nonuniform 3-point Laplacian, explicit or semi-implicit (lagged
 diffusivity) time stepping, zero-flux left boundary, and a right boundary
 held at an analytic growth clamp so the heavy tail is not truncated.
+
+Every stencil reads the grid's dt-independent factors (``Grid.stencil``,
+built once per grid on first use). The semi-implicit step assembles three
+diagonals and solves them with one LAPACK ``dgtsv`` call; a non-finite
+entry in the system or a failed solve raises StabilityFailure.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, DomainExhausted, StabilityFailure
 from .model import Field, Grid, ModelParams, field_build, reaction_eval
@@ -53,8 +58,10 @@ class SolverConfig:
             raise DomainError("safety factor must lie in (0, 1]")
         if not 0.0 <= self.u_min <= 1e-8:
             raise DomainError("u_min must lie in [0, 1e-8]")
-        if not self.t_end > 0.0:
-            raise DomainError("t_end must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError("dt must be positive and finite")
+        if not 0.0 < self.t_end < math.inf:
+            raise DomainError("t_end must be positive and finite")
         object.__setattr__(self, "snapshots",
                            tuple(float(s) for s in self.snapshots))
 
@@ -84,46 +91,45 @@ class ResidualReport:
     n: int
 
 
-def _second_diff(x: np.ndarray, v: np.ndarray, right: str) -> np.ndarray:
-    h = np.diff(x)
+def _second_diff(grid: Grid, v: np.ndarray, right: str) -> np.ndarray:
+    st = grid.stencil
     out = np.zeros_like(v)
-    hl, hr = h[:-1], h[1:]
-    out[1:-1] = 2.0 / (hl + hr) * ((v[2:] - v[1:-1]) / hr
-                                   - (v[1:-1] - v[:-2]) / hl)
-    out[0] = 2.0 * (v[1] - v[0]) / h[0] ** 2      # zero-flux ghost
+    out[1:-1] = st.w * ((v[2:] - v[1:-1]) / st.hr
+                        - (v[1:-1] - v[:-2]) / st.hl)
+    out[0] = 2.0 * (v[1] - v[0]) / st.h0_sq      # zero-flux ghost
     if right == "zero-flux":
-        out[-1] = 2.0 * (v[-2] - v[-1]) / h[-1] ** 2
+        out[-1] = 2.0 * (v[-2] - v[-1]) / st.hn_sq
     return out
 
 
-def _banded_delta(x: np.ndarray, a: np.ndarray, dt: float, rhs: np.ndarray,
+def _banded_delta(grid: Grid, a: np.ndarray, dt: float, rhs: np.ndarray,
                   right: str) -> np.ndarray:
-    # solve (I - dt D^2 diag(a)) delta = rhs
-    n = len(x)
-    h = np.diff(x)
-    hl, hr = h[:-1], h[1:]
-    w = 2.0 / (hl + hr)
-    diag = np.ones(n)
-    sub = np.zeros(n - 1)
-    sup = np.zeros(n - 1)
-    diag[1:-1] += dt * w * a[1:-1] * (1.0 / hl + 1.0 / hr)
-    sub[:-1] = -dt * w * a[:-2] / hl
-    sup[1:] = -dt * w * a[2:] / hr
-    diag[0] += dt * 2.0 * a[0] / h[0] ** 2
-    sup[0] = -dt * 2.0 * a[1] / h[0] ** 2
+    # solve (I - dt D^2 diag(a)) delta = rhs; rhs is overwritten
+    st = grid.stencil
+    dtw = dt * st.w
+    d = np.empty(a.size)
+    dl = np.empty(a.size - 1)
+    du = np.empty(a.size - 1)
+    d[1:-1] = 1.0 + dtw * a[1:-1] * st.inv_sum
+    dl[:-1] = -dtw * a[:-2] / st.hl
+    du[1:] = -dtw * a[2:] / st.hr
+    d[0] = 1.0 + dt * 2.0 * a[0] / st.h0_sq
+    du[0] = -dt * 2.0 * a[1] / st.h0_sq
     if right == "zero-flux":
-        diag[-1] += dt * 2.0 * a[-1] / h[-1] ** 2
-        sub[-1] = -dt * 2.0 * a[-2] / h[-1] ** 2
+        d[-1] = 1.0 + dt * 2.0 * a[-1] / st.hn_sq
+        dl[-1] = -dt * 2.0 * a[-2] / st.hn_sq
     else:
-        diag[-1] = 1.0
-        sub[-1] = 0.0
-        rhs = rhs.copy()
+        d[-1] = 1.0
+        dl[-1] = 0.0
         rhs[-1] = 0.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    return solve_banded((1, 1), ab, rhs)
+    if not (np.isfinite(d).all() and np.isfinite(dl).all()
+            and np.isfinite(du).all() and np.isfinite(rhs).all()):
+        raise StabilityFailure("semi-implicit system has non-finite entries")
+    _, _, _, delta, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise StabilityFailure(
+            f"tridiagonal solve failed (LAPACK dgtsv info={info})")
+    return delta
 
 
 def step(field: Field, dt: float, config: SolverConfig,
@@ -133,11 +139,11 @@ def step(field: Field, dt: float, config: SolverConfig,
         raise DomainError("dt must be positive")
     if config.grid is None:
         raise DomainError("config.grid is required for stepping")
-    x = config.grid.x
+    grid = config.grid
     u = field.values
     m = params.m
     f_u = reaction_eval(params, u) if config.reaction_on else 0.0
-    lap = _second_diff(x, u ** m, config.right)
+    lap = _second_diff(grid, u ** m, config.right)
     if config.scheme == "explicit":
         raw = u + dt * (lap + f_u)
         if raw.min() < -0.01 or raw.max() > 1.01:
@@ -146,7 +152,7 @@ def step(field: Field, dt: float, config: SolverConfig,
         new = np.clip(raw, 0.0, 1.0)
     else:
         a = m * np.maximum(u, config.u_min) ** (m - 1.0)
-        delta = _banded_delta(x, a, dt, dt * (lap + f_u), config.right)
+        delta = _banded_delta(grid, a, dt, dt * (lap + f_u), config.right)
         new = np.clip(u + delta, 0.0, 1.0)
     t_new = field.t + dt
     if config.right == "zero-value":
@@ -258,7 +264,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
             f_now = (reaction_eval(params, fld.values)
                      if cfg.reaction_on else 0.0)
             r = ((fld.values - prev_vals) / last_dt
-                 - _second_diff(grid.x, fld.values ** m, cfg.right) - f_now)
+                 - _second_diff(grid, fld.values ** m, cfg.right) - f_now)
             max_resid = max(max_resid, float(np.abs(r[1:-1]).max()))
         s = fld.values - 0.5
         cross = np.nonzero((s[:-1] >= 0.0) != (s[1:] >= 0.0))[0]
@@ -302,7 +308,7 @@ def _grid_residual(traj: SolutionTrajectory, candidate, params: ModelParams,
         v0 = np.asarray(candidate(float(t), x), dtype=float)
         vp = np.asarray(candidate(float(t) + h_t, x), dtype=float)
         vm = np.asarray(candidate(float(t) - h_t, x), dtype=float)
-        lap = _second_diff(x, v0 ** m, "zero-flux")
+        lap = _second_diff(traj.grid, v0 ** m, "zero-flux")
         f_v = 0.0 if reaction_free else reaction_eval(
             params, np.clip(v0, 0.0, 1.0))
         r = (vp - vm) / (2.0 * h_t) - lap - f_v

@@ -82,6 +82,18 @@ def test_numerical_failure_exits_3():
                  "--beta", "1.25"]) == 3
 
 
+def test_infinite_diffusivity_exits_3(tmp_path):
+    # m < 1 with u_min = 0: the diffusivity is infinite at the zero node
+    path = tiny_config(tmp_path, t_end=0.05, dt=0.01, u_min=0.0)
+    doc = json.loads(path.read_text())
+    doc.update(m=0.5, alpha=8.0, beta=1.0, C=1.0, C_bar=1.0, x0=2.0)
+    path.write_text(json.dumps(doc))
+    with np.errstate(divide="ignore"):
+        rc = main(["experiment", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+
+
 def test_infeasible_selection_exits_4(tmp_path):
     assert main(["construct", "--kind", "growth-super", "--m", "0.5",
                  "--alpha", "3", "--beta", "1.2", "--epsilon", "1.5",

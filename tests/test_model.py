@@ -30,7 +30,9 @@ def make_params(**over):
 @pytest.mark.parametrize("bad", [
     dict(m=0.0), dict(m=-1.0), dict(beta=0.9), dict(r=2.0, r_bar=1.0),
     dict(C=2.0, C_bar=1.0), dict(s0=0.0), dict(s0=1.0), dict(alpha=-1.0),
-    dict(r=0.0),
+    dict(r=0.0), dict(m=math.inf), dict(beta=math.inf), dict(r_bar=math.inf),
+    dict(r=math.inf, r_bar=math.inf), dict(C_bar=math.inf),
+    dict(C=math.inf, C_bar=math.inf), dict(x0=math.inf),
 ])
 def test_params_validation_rejects(bad):
     with pytest.raises(DomainError):

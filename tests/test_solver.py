@@ -18,6 +18,8 @@ from frontlab.model import (
 )
 from frontlab.solver import (
     SolverConfig,
+    _banded_delta,
+    _second_diff,
     discrete_residual,
     simulate,
     step,
@@ -101,7 +103,84 @@ def test_explicit_and_semi_implicit_agree():
         assert np.max(np.abs(fa.values - fb.values)) < 5e-3
 
 
+# --- grid operator ----------------------------------------------------------
+
+def dense_second_diff(x, right):
+    # the nonuniform 3-point stencil written out row by row from the nodes
+    n = x.size
+    h = np.diff(x)
+    L = np.zeros((n, n))
+    for i in range(1, n - 1):
+        L[i, i - 1] = 2.0 / (h[i - 1] * (h[i - 1] + h[i]))
+        L[i, i + 1] = 2.0 / (h[i] * (h[i - 1] + h[i]))
+        L[i, i] = -2.0 / (h[i - 1] * h[i])
+    L[0, 0], L[0, 1] = -2.0 / h[0] ** 2, 2.0 / h[0] ** 2
+    if right == "zero-flux":
+        L[-1, -1], L[-1, -2] = -2.0 / h[-1] ** 2, 2.0 / h[-1] ** 2
+    return L
+
+
+@pytest.mark.parametrize("right", ["analytic-clamp", "zero-value",
+                                   "zero-flux"])
+def test_semi_implicit_solve_matches_the_dense_system(right):
+    grid = grid_build("geometric", -3.0, 20.0, 60, ratio=1.04)
+    rng = np.random.default_rng(7)
+    n = grid.x.size
+    a = rng.uniform(0.2, 3.0, n)
+    rhs = rng.normal(size=n)
+    dt = 0.05
+    A = np.eye(n) - dt * dense_second_diff(grid.x, right) * a[None, :]
+    b = rhs.copy()
+    if right != "zero-flux":
+        A[-1] = 0.0
+        A[-1, -1] = 1.0
+        b[-1] = 0.0
+    want = np.linalg.solve(A, b)
+    got = _banded_delta(grid, a, dt, rhs.copy(), right)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_second_difference_converges_at_second_order():
+    # doubling n and taking ratio -> sqrt(ratio) keeps every old node, so
+    # each refinement halves every cell; the error must fall by about 4
+    m = 2.0
+    u = lambda x: 0.5 * np.exp(-0.25 * x ** 2)
+    exact = lambda x: 0.25 * (x ** 2 - 1.0) * np.exp(-0.5 * x ** 2)  # (u^m)''
+    n, q = 100, 1.02
+    prev, errs = None, []
+    for _ in range(3):
+        grid = grid_build("geometric", -6.0, 10.0, n, ratio=q)
+        if prev is not None:
+            assert np.allclose(grid.x[::2], prev.x, rtol=0.0, atol=1e-12)
+        lap = _second_diff(grid, u(grid.x) ** m, "zero-value")
+        errs.append(np.max(np.abs(lap[1:-1] - exact(grid.x[1:-1]))))
+        prev, n, q = grid, 2 * n, math.sqrt(q)
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
 # --- stepping and control ---------------------------------------------------
+
+@pytest.mark.parametrize("bad", [
+    dict(dt=float("nan")), dict(dt=-1e-3), dict(dt=0.0),
+    dict(dt=float("inf")), dict(t_end=float("inf")),
+])
+def test_solver_config_rejects_bad_dt_and_t_end(bad):
+    with pytest.raises(DomainError):
+        SolverConfig(**bad)
+
+
+def test_infinite_diffusivity_is_a_stability_failure():
+    # u_min = 0 with m < 1 makes m*u^(m-1) infinite at the pinned zero node
+    p = make_params(0.5, 8.0, 1.0)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    vals = initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x)
+    vals[-1] = 0.0
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value",
+                       grid=grid)
+    with np.errstate(divide="ignore"), pytest.raises(StabilityFailure):
+        step(field_build(vals, 0.0), cfg.dt, cfg, p)
+
 
 def test_explicit_blows_up_past_cfl():
     p = make_params(2.0, 2.0, 1.25)
