@@ -1,10 +1,14 @@
 """Batch front-end.
 
 Subcommands: classify, construct, shoot, wave, simulate, analyze,
-experiment, sweep. Outputs are JSON documents and CSV tables written
-atomically (temp file + rename) under --out, plus a run manifest carrying
-a sha256 of the canonical input so identical manifests imply identical
-artifacts.
+experiment, sweep. Outputs are JSON documents and CSV tables under --out.
+Each is streamed chunk by chunk (one CSV row at a time) into a temp file
+beside its target and renamed over it after the last chunk, so a reader
+never sees a partial artifact and memory is bounded by one row. Each
+command also writes a run manifest: the subcommand, the input config and
+the sha256 of its canonical JSON, the output paths and the wall-clock
+time. It holds no hash of the outputs, so it records what ran, not which
+bytes came out.
 
 Exit codes: 0 ok, 2 usage or domain error, 3 numerical failure,
 4 infeasible constant selection.
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -24,7 +27,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -59,13 +62,15 @@ def _sha256(doc: dict) -> str:
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Stream the chunks into a temp file beside ``path`` and rename it over
+    ``path``; on any error the temp file goes and ``path`` is untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,9 +87,8 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, (",".join(_fmt(v) for v in row) + "\n"
+                         for row in itertools.chain([header], rows)))
 
 
 def _dump_json(doc: dict, compact: bool) -> str:
@@ -93,13 +97,16 @@ def _dump_json(doc: dict, compact: bool) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    _atomic_write(path, [_dump_json(doc, compact=False) + "\n"])
+
+
 def _emit_manifest(args, config_doc: dict, outputs, t0: float) -> None:
     man = RunManifest(subcommand=args.command, config=config_doc,
                       outputs=tuple(str(p) for p in outputs),
                       wall_clock_s=time.perf_counter() - t0,
                       input_sha256=_sha256(config_doc))
-    path = Path(args.out) / f"{args.command}_manifest.json"
-    _atomic_write(path, _dump_json(asdict(man), compact=False) + "\n")
+    _write_json(Path(args.out) / f"{args.command}_manifest.json", asdict(man))
 
 
 def _parse_alpha(text: str) -> float:
@@ -139,16 +146,15 @@ _TRAJECTORY_HEADER = ("# frontlab trajectory: grid row nan x_0..x_n; "
 
 def write_trajectory_csv(path: Path, traj: SolutionTrajectory) -> None:
     """Write the header, the grid row, then one `t,u(x)...` row per snapshot."""
-    table = np.empty((len(traj.times) + 1, traj.grid.x.size + 1))
-    table[0, 0] = math.nan
-    table[0, 1:] = traj.grid.x
-    table[1:, 0] = traj.times
-    for row, fld in zip(table[1:, 1:], traj.fields):
-        row[:] = fld.values
-    buf = io.StringIO()
-    np.savetxt(buf, table, fmt="%.17g", delimiter=",",
-               header=_TRAJECTORY_HEADER, comments="")
-    _atomic_write(path, buf.getvalue())
+    row = ",".join(["%.17g"] * (traj.grid.x.size + 1)) + "\n"
+
+    def lines():
+        yield _TRAJECTORY_HEADER + "\n"
+        yield row % (math.nan, *traj.grid.x.tolist())
+        for t, fld in zip(traj.times, traj.fields):
+            yield row % (t, *fld.values.tolist())
+
+    _atomic_write(path, lines())
 
 
 def read_trajectory_csv(path: Path) -> SolutionTrajectory:
@@ -241,7 +247,7 @@ def _cmd_construct(args) -> int:
     print(_dump_json(doc, compact=args.as_json))
     if args.out is not None:
         out = Path(args.out) / f"construct_{args.kind}.json"
-        _atomic_write(out, _dump_json(doc, compact=False) + "\n")
+        _write_json(out, doc)
         _emit_manifest(args, {"kind": args.kind,
                               "params": params_to_dict(params),
                               "epsilon": eps}, [out], t0)
@@ -276,7 +282,7 @@ def _cmd_wave(args) -> int:
     outputs = []
     if args.out is not None:
         path = Path(args.out) / "wave_profile.csv"
-        _write_csv(path, ("x", "U"), list(zip(prof.x, prof.U)))
+        _write_csv(path, ("x", "U"), zip(prof.x, prof.U))
         outputs.append(path)
         _emit_manifest(args, {"m": params.m, "c": args.c,
                               "delta": args.delta,
@@ -343,9 +349,9 @@ def _analyze_traj(traj: SolutionTrajectory, params: ModelParams,
     report.update(extra)
 
     trace_path = out_dir / "trace.csv"
-    _write_csv(trace_path, ("t", "x_lambda"), list(zip(trace.t, trace.x)))
+    _write_csv(trace_path, ("t", "x_lambda"), zip(trace.t, trace.x))
     report_path = out_dir / "report.json"
-    _atomic_write(report_path, _dump_json(report, compact=False) + "\n")
+    _write_json(report_path, report)
     print(_dump_json(report, compact=compact))
     return [trace_path, report_path]
 

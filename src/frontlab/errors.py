@@ -44,8 +44,8 @@ class StabilityFailure(FrontlabError):
     """A time step broke down.
 
     Either the explicit update left the trusted range before clamping, or
-    the semi-implicit system held a non-finite entry or its tridiagonal
-    solve failed.
+    the semi-implicit system held a non-finite entry, its tridiagonal
+    solve failed, or the solve returned non-finite values.
     """
 
 

@@ -111,7 +111,8 @@ class CertificateReport:
 def reaction_eval(params: ModelParams, s):
     """Evaluate the default family r*s^beta*(1-s)."""
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # NaN fails both comparisons, so it is rejected too
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("density outside [0,1]")
     out = params.r * arr ** params.beta * (1.0 - arr)
     return float(out) if arr.ndim == 0 else out
@@ -253,12 +254,12 @@ def initial_data_build(C_or_Cbar: float, alpha: float, x0: float,
     alpha = float(alpha)
     x0 = float(x0)
     plateau = float(plateau)
-    if not C > 0:
-        raise DomainError("tail constant must be positive")
+    if not 0 < C < math.inf:
+        raise DomainError("tail constant must be positive and finite")
     if not alpha > 0:
         raise DomainError("alpha must lie in (0, inf]")
-    if not x0 > 1:
-        raise DomainError("x0 must be > 1")
+    if not 1 < x0 < math.inf:
+        raise DomainError("x0 must be finite and > 1")
     if not 0 < plateau <= 1:
         raise DomainError("plateau must lie in (0, 1]")
 
@@ -299,7 +300,8 @@ class Stencil:
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing abscissas, uniform or geometrically stretched."""
+    """Strictly increasing finite abscissas, uniform or geometrically
+    stretched."""
 
     x: np.ndarray
     kind: str
@@ -309,6 +311,8 @@ class Grid:
         arr = np.asarray(self.x, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise DomainError("grid needs at least two nodes")
+        if not np.isfinite(arr).all():
+            raise DomainError("grid nodes must be finite")
         if np.any(np.diff(arr) <= 0.0):
             raise DomainError("grid nodes must be strictly increasing")
         arr.setflags(write=False)
@@ -342,8 +346,8 @@ def grid_build(kind: str, x_left: float, x_right: float, n: int,
     spacing grows by the factor q from each cell to the next; any x_left is
     fine since the formula is already affinely shifted.
     """
-    if not x_right > x_left:
-        raise DomainError("need x_left < x_right")
+    if not -math.inf < x_left < x_right < math.inf:
+        raise DomainError("need finite x_left < x_right")
     n = int(n)
     if n < 2:
         raise DomainError("need at least 2 cells")

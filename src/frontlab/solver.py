@@ -6,8 +6,9 @@ held at an analytic growth clamp so the heavy tail is not truncated.
 
 Every stencil reads the grid's dt-independent factors (``Grid.stencil``,
 built once per grid on first use). The semi-implicit step assembles three
-diagonals and solves them with one LAPACK ``dgtsv`` call; a non-finite
-entry in the system or a failed solve raises StabilityFailure.
+diagonals and the right-hand side in one work buffer and solves them with
+one LAPACK ``dgtsv`` call; a non-finite entry in the system, a failed
+solve or a non-finite solution raises StabilityFailure.
 """
 
 from __future__ import annotations
@@ -93,23 +94,26 @@ class ResidualReport:
 
 def _second_diff(grid: Grid, v: np.ndarray, right: str) -> np.ndarray:
     st = grid.stencil
+    dv = np.diff(v)
     out = np.zeros_like(v)
-    out[1:-1] = st.w * ((v[2:] - v[1:-1]) / st.hr
-                        - (v[1:-1] - v[:-2]) / st.hl)
-    out[0] = 2.0 * (v[1] - v[0]) / st.h0_sq      # zero-flux ghost
+    out[1:-1] = st.w * (dv[1:] / st.hr - dv[:-1] / st.hl)
+    out[0] = 2.0 * dv[0] / st.h0_sq      # zero-flux ghost
     if right == "zero-flux":
         out[-1] = 2.0 * (v[-2] - v[-1]) / st.hn_sq
     return out
 
 
-def _banded_delta(grid: Grid, a: np.ndarray, dt: float, rhs: np.ndarray,
+def _banded_delta(grid: Grid, a: np.ndarray, dt: float, rate: np.ndarray,
                   right: str) -> np.ndarray:
-    # solve (I - dt D^2 diag(a)) delta = rhs; rhs is overwritten
+    # solve (I - dt D^2 diag(a)) delta = dt * rate
     st = grid.stencil
     dtw = dt * st.w
-    d = np.empty(a.size)
-    dl = np.empty(a.size - 1)
-    du = np.empty(a.size - 1)
+    n = a.size
+    # d, dl, du and rhs are views of one buffer, so one scan guards them all
+    buf = np.empty(4 * n - 2)
+    d, dl, du, rhs = (buf[:n], buf[n:2 * n - 1], buf[2 * n - 1:3 * n - 2],
+                      buf[3 * n - 2:])
+    np.multiply(dt, rate, out=rhs)
     d[1:-1] = 1.0 + dtw * a[1:-1] * st.inv_sum
     dl[:-1] = -dtw * a[:-2] / st.hl
     du[1:] = -dtw * a[2:] / st.hr
@@ -122,19 +126,20 @@ def _banded_delta(grid: Grid, a: np.ndarray, dt: float, rhs: np.ndarray,
         d[-1] = 1.0
         dl[-1] = 0.0
         rhs[-1] = 0.0
-    if not (np.isfinite(d).all() and np.isfinite(dl).all()
-            and np.isfinite(du).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(buf).all():
         raise StabilityFailure("semi-implicit system has non-finite entries")
     _, _, _, delta, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
     if info != 0:
         raise StabilityFailure(
             f"tridiagonal solve failed (LAPACK dgtsv info={info})")
+    if not np.isfinite(delta).all():
+        raise StabilityFailure("tridiagonal solve returned non-finite values")
     return delta
 
 
 def step(field: Field, dt: float, config: SolverConfig,
          params: ModelParams) -> Field:
-    """Advance one time step; the result is clamped to [0, 1]."""
+    """Advance one time step; the result is clamped to [0, 1] and read-only."""
     if not dt > 0.0:
         raise DomainError("dt must be positive")
     if config.grid is None:
@@ -151,8 +156,12 @@ def step(field: Field, dt: float, config: SolverConfig,
                 f"explicit update left [-0.01, 1.01] at t={field.t:.6g}")
         new = np.clip(raw, 0.0, 1.0)
     else:
-        a = m * np.maximum(u, config.u_min) ** (m - 1.0)
-        delta = _banded_delta(grid, a, dt, dt * (lap + f_u), config.right)
+        if config.u_min > 0.0:
+            a = m * np.maximum(u, config.u_min) ** (m - 1.0)
+        else:   # m < 1 makes a infinite at a zero node: the guard rejects it
+            with np.errstate(divide="ignore", over="ignore"):
+                a = m * u ** (m - 1.0)
+        delta = _banded_delta(grid, a, dt, lap + f_u, config.right)
         new = np.clip(u + delta, 0.0, 1.0)
     t_new = field.t + dt
     if config.right == "zero-value":
@@ -162,7 +171,10 @@ def step(field: Field, dt: float, config: SolverConfig,
             new[-1] = min(1.0, max(0.0, float(config.right_value(t_new))))
         else:
             new[-1] = u[-1]
-    return field_build(new, t_new)
+    if config.scheme == "explicit":
+        return field_build(new, t_new)   # rejects a non-finite update
+    new.setflags(write=False)
+    return Field(values=new, t=float(t_new))
 
 
 def _cfl_dt(values: np.ndarray, min_h2: float, config: SolverConfig,

@@ -1,11 +1,15 @@
 import csv
+import io
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frontlab.cli import main, read_trajectory_csv, write_trajectory_csv
+from frontlab.cli import (_atomic_write, main, read_trajectory_csv,
+                          write_trajectory_csv)
 from frontlab.errors import DomainError
 from frontlab.model import (
     ModelParams,
@@ -88,9 +92,8 @@ def test_infinite_diffusivity_exits_3(tmp_path):
     doc = json.loads(path.read_text())
     doc.update(m=0.5, alpha=8.0, beta=1.0, C=1.0, C_bar=1.0, x0=2.0)
     path.write_text(json.dumps(doc))
-    with np.errstate(divide="ignore"):
-        rc = main(["experiment", "--config", str(path),
-                   "--out", str(tmp_path / "out")])
+    rc = main(["experiment", "--config", str(path),
+               "--out", str(tmp_path / "out")])
     assert rc == 3
 
 
@@ -228,6 +231,69 @@ def test_trajectory_reader_guards_the_format(tmp_path):
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(DomainError):
             read_trajectory_csv(bad)
+
+
+def random_trajectory(n_nodes, n_snapshots, seed=3):
+    rng = np.random.default_rng(seed)
+    fields = tuple(field_build(rng.uniform(size=n_nodes), 0.1 * k)
+                   for k in range(n_snapshots))
+    return SolutionTrajectory(
+        grid=grid_build("geometric", -2.0, 50.0, n_nodes - 1, ratio=1.0001),
+        times=tuple(f.t for f in fields), fields=fields,
+        dt_history=np.asarray([]), max_residual=float("nan"))
+
+
+def test_trajectory_csv_bytes_match_a_savetxt_table(tmp_path):
+    traj = random_trajectory(9, 5)
+    edge = SolutionTrajectory(
+        grid=traj.grid, times=traj.times + (1e3,),
+        fields=traj.fields + (field_build(
+            [0.0, 1.0, 1e-300, 5e-324, 0.1, 1 / 3, 2 / 3, 1 - 1e-16, 0.5],
+            1e3),), dt_history=traj.dt_history, max_residual=math.nan)
+    table = np.vstack(
+        [np.concatenate([[np.nan], edge.grid.x])]
+        + [np.concatenate([[t], f.values])
+           for t, f in zip(edge.times, edge.fields)])
+    ref = io.StringIO()
+    np.savetxt(ref, table, fmt="%.17g", delimiter=",",
+               header="# frontlab trajectory: grid row nan x_0..x_n; "
+                      "then one row t u(x_0)..u(x_n) per snapshot",
+               comments="")
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, edge)
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
+
+def test_trajectory_write_memory_is_bounded_by_one_row(tmp_path):
+    # 60 snapshots of 20,001 nodes make about 23 MB of text; streaming row
+    # by row keeps the traced peak near the size of one row
+    traj = random_trajectory(20_001, 60)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(tmp_path / "big.csv", traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 20_000_000
+    assert peak < 2_000_000
+
+
+class ChunkSourceFailed(Exception):
+    pass
+
+
+def test_atomic_write_leaves_the_target_when_a_chunk_fails(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "new first half\n"
+        raise ChunkSourceFailed
+
+    with pytest.raises(ChunkSourceFailed):
+        _atomic_write(target, chunks())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 # --- experiment ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from frontlab.errors import CertificateViolation, DomainError
 from frontlab.model import (
     Field,
+    Grid,
     ModelParams,
     default_reaction,
     field_build,
@@ -69,6 +70,9 @@ def test_reaction_rejects_values_outside_unit_interval():
         reaction_eval(p, np.array([-0.1]))
     with pytest.raises(DomainError):
         reaction_eval(p, np.array([1.1]))
+    with pytest.raises(DomainError):
+        reaction_eval(p, np.array([0.5, np.nan]))
+    assert reaction_eval(p, np.array([])).size == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,6 +141,16 @@ def test_initial_data_light_tail_rate():
     assert d(x) == pytest.approx(np.exp(-2.0 * (x - 2.0)), rel=1e-12)
 
 
+@pytest.mark.parametrize("C, alpha, x0", [
+    (1.0, 2.0, np.inf),
+    (1.0, np.inf, np.inf),
+    (np.inf, 2.0, np.inf),
+])
+def test_initial_data_rejects_non_finite_C_and_x0(C, alpha, x0):
+    with pytest.raises(DomainError, match="finite"):
+        initial_data_build(C, alpha, x0, 1.0)
+
+
 def test_initial_data_values_stay_in_unit_band():
     d = initial_data_build(1.0, 2.0, 2.0, 1.0)
     x = np.linspace(-20.0, 500.0, 5000)
@@ -170,6 +184,20 @@ def test_geometric_grid_ratio_bounds(ratio):
 def test_grid_rejects_degenerate_interval():
     with pytest.raises(DomainError):
         grid_build("uniform", 1.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Grid(x=np.array([0.0, np.nan, 1.0]), kind="loaded"),
+    lambda: Grid(x=np.array([0.0, 1.0, np.inf]), kind="loaded"),
+    lambda: Grid(x=np.array([-np.inf, 0.0, 1.0]), kind="loaded"),
+    lambda: grid_build("uniform", 0.0, np.inf, 10),
+    lambda: grid_build("geometric", 0.0, np.inf, 10),
+    lambda: grid_build("uniform", -np.inf, 0.0, 10),
+], ids=["nan-node", "inf-node", "minus-inf-node", "uniform-inf-right",
+        "geometric-inf-right", "uniform-minus-inf-left"])
+def test_grid_rejects_non_finite_nodes(build):
+    with pytest.raises(DomainError, match="finite"):
+        build()
 
 
 def test_grid_is_read_only():

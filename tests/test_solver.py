@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from frontlab import solver as solver_module
 from frontlab.errors import (
     DomainError,
     DomainExhausted,
@@ -127,16 +128,16 @@ def test_semi_implicit_solve_matches_the_dense_system(right):
     rng = np.random.default_rng(7)
     n = grid.x.size
     a = rng.uniform(0.2, 3.0, n)
-    rhs = rng.normal(size=n)
+    rate = rng.normal(size=n)
     dt = 0.05
     A = np.eye(n) - dt * dense_second_diff(grid.x, right) * a[None, :]
-    b = rhs.copy()
+    b = dt * rate
     if right != "zero-flux":
         A[-1] = 0.0
         A[-1, -1] = 1.0
         b[-1] = 0.0
     want = np.linalg.solve(A, b)
-    got = _banded_delta(grid, a, dt, rhs.copy(), right)
+    got = _banded_delta(grid, a, dt, rate, right)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -178,8 +179,35 @@ def test_infinite_diffusivity_is_a_stability_failure():
     vals[-1] = 0.0
     cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value",
                        grid=grid)
-    with np.errstate(divide="ignore"), pytest.raises(StabilityFailure):
+    with pytest.raises(StabilityFailure):
         step(field_build(vals, 0.0), cfg.dt, cfg, p)
+
+
+def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
+    # LAPACK can overflow without reporting an error; the step must not
+    # pass such a solution on as a field
+    def overflowing_dgtsv(dl, d, du, b, *overwrite):
+        return dl, d, du, np.full_like(b, np.inf), 0
+
+    monkeypatch.setattr(solver_module, "dgtsv", overflowing_dgtsv)
+    p = make_params(2.0, 2.0, 1.25)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value", grid=grid)
+    fld = field_build(initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x), 0.0)
+    with pytest.raises(StabilityFailure, match="non-finite"):
+        step(fld, cfg.dt, cfg, p)
+
+
+def test_semi_implicit_step_returns_a_read_only_field():
+    p = make_params(0.5, 8.0, 1.0)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value", grid=grid)
+    fld = field_build(initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x), 0.0)
+    out = step(fld, cfg.dt, cfg, p)
+    assert out.t == cfg.dt and type(out.t) is float
+    assert np.all((out.values >= 0.0) & (out.values <= 1.0))
+    with pytest.raises(ValueError):
+        out.values[0] = 0.5
 
 
 def test_explicit_blows_up_past_cfl():
