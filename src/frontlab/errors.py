@@ -43,9 +43,9 @@ class BlowUp(FrontlabError):
 class StabilityFailure(FrontlabError):
     """A time step broke down.
 
-    Either the explicit update left the trusted range before clamping, or
-    the semi-implicit system held a non-finite entry, its tridiagonal
-    solve failed, or the solve returned non-finite values.
+    Either the explicit update left the trusted range before clamping or
+    held a NaN, or the semi-implicit system held a non-finite entry, its
+    tridiagonal solve failed, or the solve returned non-finite values.
     """
 
 

@@ -11,6 +11,7 @@ from frontlab.errors import (
     StabilityFailure,
 )
 from frontlab.model import (
+    Field,
     ModelParams,
     field_build,
     grid_build,
@@ -196,6 +197,20 @@ def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
     fld = field_build(initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x), 0.0)
     with pytest.raises(StabilityFailure, match="non-finite"):
         step(fld, cfg.dt, cfg, p)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+def test_nan_update_is_a_stability_failure_in_both_schemes(scheme):
+    # a NaN node slips past a range test written with < and >; both schemes
+    # must still reject the update with the same typed failure
+    p = make_params(2.0, 2.0, 1.25)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    vals = initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x)
+    vals[40] = np.nan
+    cfg = SolverConfig(scheme=scheme, dt=1e-4, t_end=1.0, right="zero-value",
+                       reaction_on=False, grid=grid)
+    with pytest.raises(StabilityFailure):
+        step(Field(values=vals, t=0.0), cfg.dt, cfg, p)
 
 
 def test_semi_implicit_step_returns_a_read_only_field():
