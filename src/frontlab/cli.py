@@ -3,15 +3,16 @@
 Subcommands: classify, construct, shoot, wave, simulate, analyze,
 experiment, sweep. Outputs are JSON documents and CSV tables under --out.
 Each is streamed chunk by chunk (one CSV row at a time) into a temp file
-beside its target and renamed over it after the last chunk, so a reader
-never sees a partial artifact and memory is bounded by one row. Each
+beside its target, created with the mode open() would give it (0666 less
+the umask), and renamed over it after the last chunk, so a reader never
+sees a partial artifact and memory is bounded by one row. Each
 command also writes a run manifest: the subcommand, the input config and
 the sha256 of its canonical JSON, the output paths and the wall-clock
 time. It holds no hash of the outputs, so it records what ran, not which
 bytes came out.
 
-Exit codes: 0 ok, 2 usage or domain error, 3 numerical failure,
-4 infeasible constant selection.
+Exit codes: 0 ok, 2 usage or domain error (a malformed config included),
+3 numerical failure, 4 infeasible constant selection.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import itertools
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -34,9 +35,9 @@ import numpy as np
 from . import analysis, closedform, waves
 from .errors import (DomainError, FrontlabError, InfeasibleSelection,
                      RegimeMismatch)
-from .model import (Grid, ModelParams, bundle_from_dict, default_reaction,
-                    field_build, params_from_dict, params_to_dict,
-                    read_config)
+from .model import (Grid, ModelParams, bundle_from_dict, config_number,
+                    config_section, default_reaction, field_build,
+                    params_from_dict, params_to_dict, read_config)
 from .regimes import Regime, classify, envelopes, linear_speed_bound
 from .solver import SolutionTrajectory, SolverConfig, simulate
 
@@ -67,7 +68,11 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     ``path``; on any error the temp file goes and ``path`` is untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
+    tmp = path.parent / f".tmp-{secrets.token_hex(8)}"
+    # O_EXCL never opens an existing file, and mode 0o666 leaves the
+    # permissions to the umask, as open(path, "w") would (mkstemp would
+    # force 0o600 on every artifact)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -186,25 +191,34 @@ def read_trajectory_csv(path: Path) -> SolutionTrajectory:
 
 
 def _solver_config_from(doc: dict) -> SolverConfig:
-    sdoc = doc.get("solver")
-    if sdoc is None:
-        raise DomainError('config missing the "solver" section')
-    t_end = float(sdoc["t_end"])
+    sdoc = config_section(doc, "solver")
+    t_end = config_number(sdoc, "t_end", where="solver")
     snaps = sdoc.get("snapshots", ())
     if isinstance(snaps, dict):
-        count = int(snaps["count"])
-        snaps = np.linspace(0.0, t_end, count + 1)[1:].tolist()
+        count = config_number(snaps, "count", where="solver.snapshots")
+        if not 1 <= count < math.inf:
+            raise DomainError(f"snapshot count must be finite and >= 1, "
+                              f"got {count}")
+        snaps = np.linspace(0.0, t_end, int(count) + 1)[1:].tolist()
+    reaction_on = sdoc.get("reaction_on", True)
+    if not isinstance(reaction_on, bool):  # bool("false") would be True
+        raise DomainError("solver key 'reaction_on' must be true or false, "
+                          f"got {reaction_on!r}")
     return SolverConfig(
         scheme=sdoc.get("scheme", "semi-implicit"),
-        dt=float(sdoc["dt"]),
+        dt=config_number(sdoc, "dt", where="solver"),
         dt_control=sdoc.get("dt_control", "fixed"),
-        safety=float(sdoc.get("safety", 0.5)),
+        safety=config_number(sdoc, "safety", 0.5, where="solver"),
         t_end=t_end,
-        snapshots=tuple(float(s) for s in snaps),
+        snapshots=snaps,
         right=sdoc.get("right", "analytic-clamp"),
-        u_min=float(sdoc.get("u_min", 1e-12)),
-        reaction_on=bool(sdoc.get("reaction_on", True)),
+        u_min=config_number(sdoc, "u_min", 1e-12, where="solver"),
+        reaction_on=reaction_on,
     )
+
+
+def _experiment_section(doc: dict) -> dict:
+    return config_section(doc, "experiment") if "experiment" in doc else {}
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +377,8 @@ def _cmd_analyze(args) -> int:
     doc = read_config(args.config)
     params = params_from_dict(doc)
     traj = read_trajectory_csv(args.traj)
-    eps = doc.get("experiment", {}).get("epsilon")
+    eps = config_number(_experiment_section(doc), "epsilon", None,
+                        where="experiment")
     outputs = _analyze_traj(traj, params, args.level, eps, Path(args.out),
                             args.as_json)
     _emit_manifest(args, doc, outputs, t0)
@@ -377,15 +392,16 @@ def _cmd_experiment(args) -> int:
     doc = read_config(args.config)
     bundle = bundle_from_dict(doc)
     cfg = _solver_config_from(doc)
-    exp = doc.get("experiment", {})
+    exp = _experiment_section(doc)
+    level = config_number(exp, "level", 0.5, where="experiment")
+    eps = config_number(exp, "epsilon", None, where="experiment")
     traj = simulate(bundle.data, bundle.grid, cfg, bundle.params)
     out_dir = Path(args.out)
     traj_path = out_dir / "trajectory.csv"
     write_trajectory_csv(traj_path, traj)
     outputs = [traj_path]
-    outputs.extend(_analyze_traj(traj, bundle.params,
-                                 float(exp.get("level", 0.5)),
-                                 exp.get("epsilon"), out_dir, args.as_json))
+    outputs.extend(_analyze_traj(traj, bundle.params, level, eps, out_dir,
+                                 args.as_json))
     _emit_manifest(args, doc, outputs, t0)
     return 0
 

@@ -348,6 +348,8 @@ def grid_build(kind: str, x_left: float, x_right: float, n: int,
     """
     if not -math.inf < x_left < x_right < math.inf:
         raise DomainError("need finite x_left < x_right")
+    if not -math.inf < n < math.inf:
+        raise DomainError(f"cell count must be finite, got {n}")
     n = int(n)
     if n < 2:
         raise DomainError("need at least 2 cells")
@@ -399,19 +401,44 @@ class ConfigBundle:
     raw: dict
 
 
+_REQUIRED = object()
+
+
+def config_section(doc: dict, name: str) -> dict:
+    """The nested object ``doc[name]``; missing or not an object is a
+    DomainError."""
+    section = doc.get(name)
+    if not isinstance(section, dict):
+        raise DomainError(f'config needs a "{name}" object')
+    return section
+
+
+def config_number(doc: dict, key: str, default=_REQUIRED,
+                  where: str = "config") -> float:
+    """``doc[key]`` as a float, or ``default`` when the key is absent.
+
+    A missing key without a default, or a value float() refuses (a word,
+    null, a list), is a DomainError naming ``where`` and the key.
+    """
+    if key not in doc:
+        if default is _REQUIRED:
+            raise DomainError(f"{where} missing key {key!r}")
+        return default
+    try:
+        return float(doc[key])
+    except (TypeError, ValueError):
+        raise DomainError(f"{where} key {key!r} must be a number, "
+                          f"got {doc[key]!r}") from None
+
+
 def params_from_dict(doc: dict) -> ModelParams:
     """Build ModelParams from a config document (alpha may be "inf")."""
     missing = [k for k in CONFIG_KEYS if k not in doc]
     if missing:
         raise DomainError(f"config missing keys: {', '.join(missing)}")
-    alpha = doc["alpha"]
-    alpha = math.inf if alpha == "inf" else float(alpha)
-    return ModelParams(
-        m=float(doc["m"]), alpha=alpha, beta=float(doc["beta"]),
-        r=float(doc["r"]), r_bar=float(doc["r_bar"]),
-        C=float(doc["C"]), C_bar=float(doc["C_bar"]),
-        s0=float(doc["s0"]), x0=float(doc["x0"]),
-    )
+    vals = {k: (math.inf if k == "alpha" and doc[k] == "inf"
+                else config_number(doc, k)) for k in CONFIG_KEYS}
+    return ModelParams(**vals)
 
 
 def params_to_dict(params: ModelParams) -> dict:
@@ -425,20 +452,26 @@ def params_to_dict(params: ModelParams) -> dict:
 def bundle_from_dict(doc: dict) -> ConfigBundle:
     """Parse a full run config: model keys, "plateau", and a "grid" section."""
     params = params_from_dict(doc)
-    plateau = float(doc.get("plateau", 1.0))
+    plateau = config_number(doc, "plateau", 1.0)
     data = initial_data_build(params.C, params.alpha, params.x0, plateau)
-    gdoc = doc.get("grid")
-    if gdoc is None:
-        raise DomainError('config missing the "grid" section')
+    gdoc = config_section(doc, "grid")
     grid = grid_build(
         kind=gdoc.get("kind", "uniform"),
-        x_left=float(gdoc["x_left"]), x_right=float(gdoc["x_right"]),
-        n=int(gdoc["n"]), ratio=float(gdoc.get("ratio", 1.02)),
+        x_left=config_number(gdoc, "x_left", where="grid"),
+        x_right=config_number(gdoc, "x_right", where="grid"),
+        n=config_number(gdoc, "n", where="grid"),
+        ratio=config_number(gdoc, "ratio", 1.02, where="grid"),
     )
     return ConfigBundle(params=params, data=data, grid=grid, raw=dict(doc))
 
 
 def read_config(path) -> dict:
-    """Load a JSON config document from disk."""
+    """Load a JSON config document from disk; it must be one JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DomainError("config must be a JSON object")
+    return doc

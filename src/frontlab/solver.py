@@ -63,8 +63,15 @@ class SolverConfig:
             raise DomainError("dt must be positive and finite")
         if not 0.0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
-        object.__setattr__(self, "snapshots",
-                           tuple(float(s) for s in self.snapshots))
+        try:
+            snaps = tuple(float(s) for s in self.snapshots)
+        except (TypeError, ValueError):
+            raise DomainError("snapshot times must be numbers, got "
+                              f"{self.snapshots!r}") from None
+        # a NaN time would pass every ordering check of the schedule
+        if not all(math.isfinite(s) for s in snaps):
+            raise DomainError(f"snapshot times must be finite, got {snaps}")
+        object.__setattr__(self, "snapshots", snaps)
 
 
 @dataclass(frozen=True, eq=False)

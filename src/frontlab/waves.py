@@ -1,9 +1,10 @@
 """Phase-plane shooting for traveling-front profiles.
 
 The auxiliary equation V'' + c V' + g(V) = 0, V(0) = delta, V'(0) = 0 is
-integrated with terminal event detection; a case-iii trajectory (V hits
-zero with strictly negative slope) is mapped back to a compactly
-supported profile through the mass-coordinate change x = int m V^(m-1).
+integrated by LSODA (stiffness-switching Adams/BDF) with terminal event
+detection; a case-iii trajectory (V hits zero with strictly negative
+slope) is mapped back to a compactly supported profile through the
+mass-coordinate change x = int m V^(m-1).
 """
 
 from __future__ import annotations
@@ -150,10 +151,12 @@ def shoot(c: float, delta: float, g: Callable,
     ev_origin.terminal = True
     ev_origin.direction = -1.0
 
-    # Radau: the system is stiff once V leaves the reaction zone (the
-    # homogeneous mode decays like e^(-cy), capping explicit steps at ~1/c
-    # forever); an implicit RK pair keeps long tails affordable.
-    sol = solve_ivp(rhs, (0.0, y_max), [delta, 0.0], method="Radau",
+    # LSODA: the system is nonstiff inside the reaction zone and stiff once
+    # V leaves it (the homogeneous mode decays like e^(-cy), capping
+    # explicit steps at ~1/c forever). LSODA switches from Adams to BDF
+    # when it detects that, and takes each step, Newton solves included, in
+    # compiled ODEPACK code (Radau runs its Newton iterations in Python).
+    sol = solve_ivp(rhs, (0.0, y_max), [delta, 0.0], method="LSODA",
                     rtol=controls.rtol, atol=controls.atol,
                     dense_output=True, events=[ev_cross, ev_origin])
     if sol.status != 1:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -101,6 +103,43 @@ def test_infeasible_selection_exits_4(tmp_path):
     assert main(["construct", "--kind", "growth-super", "--m", "0.5",
                  "--alpha", "3", "--beta", "1.2", "--epsilon", "1.5",
                  "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: d["grid"].pop("x_left"),
+    lambda d: d["grid"].update(n=float("nan")),
+    lambda d: d["solver"].pop("dt"),
+    lambda d: d.update(m="two"),
+    lambda d: d["solver"].update(snapshots=[1.0, float("nan")]),
+    lambda d: d["solver"].update(snapshots={"count": "ten"}),
+    lambda d: d["solver"].update(snapshots={"count": 0}),
+    lambda d: d.update(solver=None),
+    lambda d: d["solver"].update(reaction_on="false"),
+    lambda d: d["experiment"].update(level="half"),
+], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
+        "word-count", "zero-count", "null-solver", "string-reaction-on",
+        "word-level"])
+def test_malformed_config_exits_2(tmp_path, capsys, spoil):
+    path = tiny_config(tmp_path)
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    rc = main(["experiment", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("frontlab: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["{\"m\": 2.0,", "[1, 2]"],
+                         ids=["truncated", "list"])
+def test_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["experiment", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("frontlab: config ")
 
 
 # --- construct -------------------------------------------------------------------
@@ -297,6 +336,36 @@ def test_atomic_write_leaves_the_target_when_a_chunk_fails(tmp_path):
 
 
 # --- experiment ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_honours_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        _atomic_write(tmp_path / "atomic.txt", ["x\n"])
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode)
+    assert mode == 0o666 & ~umask
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+
+
+def test_experiment_artifacts_honour_the_umask(tmp_path, capsys):
+    path = tiny_config(tmp_path)
+    out = tmp_path / "out"
+    old = os.umask(0o027)
+    try:
+        assert main(["experiment", "--config", str(path),
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["experiment_manifest.json", "report.json", "trace.csv",
+                     "trajectory.csv"]
+    for p in out.iterdir():
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640, p.name
+
 
 def test_experiment_is_deterministic(tmp_path, capsys):
     cfg = tiny_config(tmp_path)

@@ -244,3 +244,27 @@ def test_bundle_builds_grid_and_data():
     assert b.grid.x.size == 101
     assert b.data.plateau == pytest.approx(0.25)
     assert b.params == make_params()
+
+
+def _bundle_doc():
+    doc = params_to_dict(make_params())
+    doc["grid"] = {"kind": "uniform", "x_left": -5.0, "x_right": 20.0, "n": 100}
+    return doc
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda d: d["grid"].pop("x_left"), "grid missing key 'x_left'"),
+    (lambda d: d["grid"].update(n=float("nan")), "cell count must be finite"),
+    (lambda d: d["grid"].update(n="many"), "'n' must be a number"),
+    (lambda d: d["grid"].update(ratio=None), "'ratio' must be a number"),
+    (lambda d: d.update(grid=[0.0, 1.0]), '"grid" object'),
+    (lambda d: d.update(m="two"), "'m' must be a number"),
+    (lambda d: d.update(alpha="infinite"), "'alpha' must be a number"),
+    (lambda d: d.update(plateau=[1.0]), "'plateau' must be a number"),
+], ids=["no-x-left", "nan-n", "word-n", "null-ratio", "grid-list", "word-m",
+        "word-alpha", "list-plateau"])
+def test_bundle_rejects_malformed_documents(spoil, match):
+    doc = _bundle_doc()
+    spoil(doc)
+    with pytest.raises(DomainError, match=match):
+        bundle_from_dict(doc)

@@ -172,6 +172,14 @@ def test_solver_config_rejects_bad_dt_and_t_end(bad):
         SolverConfig(**bad)
 
 
+@pytest.mark.parametrize("snaps", [
+    (0.5, float("nan")), (float("inf"),), (0.5, "later"), (None,), None,
+], ids=["nan", "inf", "word", "null-entry", "null"])
+def test_solver_config_rejects_bad_snapshot_times(snaps):
+    with pytest.raises(DomainError, match="snapshot times"):
+        SolverConfig(snapshots=snaps)
+
+
 def test_infinite_diffusivity_is_a_stability_failure():
     # u_min = 0 with m < 1 makes m*u^(m-1) infinite at the pinned zero node
     p = make_params(0.5, 8.0, 1.0)

@@ -8,6 +8,7 @@ from frontlab.errors import DomainError, NonTermination
 from frontlab.model import ReactionFn
 from frontlab.waves import (
     CASE_I,
+    CASE_II,
     CASE_III,
     ShootControls,
     ShootResult,
@@ -106,6 +107,70 @@ def test_case_iii_crossing_against_independent_integration():
     slope_ref = float(ref.y_events[0][0][1])
     assert res.y_c == pytest.approx(y_ref, rel=1e-6)
     assert res.terminal_slope == pytest.approx(slope_ref, rel=1e-5)
+
+
+NO_EVENT = "non-termination"
+
+
+def radau_reference(c, delta, g, controls=ShootControls()):
+    """The shot integrated by scipy's Radau with shoot()'s tolerances, window
+    and terminal events: (outcome, y_c)."""
+    y_max = controls.y_max if controls.y_max is not None else 1e6 / max(c, 1.0)
+
+    def rhs(_y, s):
+        v, vp = s
+        return (vp, -c * vp - (g(v) if v > 0.0 else 0.0))
+
+    def cross(_y, s):
+        return s[0]
+    cross.terminal = True
+    cross.direction = -1.0
+
+    def origin(_y, s):
+        return math.hypot(s[0], s[1]) - controls.norm_tol
+    origin.terminal = True
+    origin.direction = -1.0
+
+    ref = solve_ivp(rhs, (0.0, y_max), [delta, 0.0], method="Radau",
+                    rtol=controls.rtol, atol=controls.atol,
+                    events=[cross, origin])
+    if ref.status != 1:
+        return NO_EVENT, None
+    if len(ref.t_events[0]):
+        slope = float(ref.y_events[0][0][1])
+        return (CASE_III if slope < -controls.slope_tol else CASE_II,
+                float(ref.t_events[0][0]))
+    return CASE_I, None
+
+
+@pytest.mark.parametrize("truncate", [False, True], ids=["full", "ignition"])
+@pytest.mark.parametrize("c", [0.25, 1.0, 5.0, 20.0])
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_shoot_agrees_with_a_radau_reference(m, c, truncate):
+    g = g_fn(m, f_logistic)
+    if truncate:
+        g = ignition_truncate(g, 0.5)
+    outcome, y_c = radau_reference(c, 0.5, g)
+    try:
+        res = shoot(c, 0.5, g)
+    except NonTermination:
+        assert outcome == NO_EVENT
+        return
+    assert res.outcome == outcome
+    if outcome == CASE_III:
+        assert res.y_c == pytest.approx(y_c, rel=1e-6)
+
+
+def test_non_termination_agrees_with_a_radau_reference():
+    # g ~ 2 s^2 near zero: the default window ends before the origin event,
+    # and the long window ends in case i, under either integrator
+    g = g_fn(2.0, f_logistic)
+    assert radau_reference(10.0, 0.5, g) == (NO_EVENT, None)
+    with pytest.raises(NonTermination):
+        shoot(10.0, 0.5, g)
+    wide = ShootControls(y_max=1e10)
+    assert radau_reference(10.0, 0.5, g, wide) == (CASE_I, None)
+    assert shoot(10.0, 0.5, g, wide).outcome == CASE_I
 
 
 def test_crossing_distance_grows_with_damping():
