@@ -196,19 +196,25 @@ def _solver_config_from(doc: dict) -> SolverConfig:
     snaps = sdoc.get("snapshots", ())
     if isinstance(snaps, dict):
         count = config_number(snaps, "count", where="solver.snapshots")
-        if not 1 <= count < math.inf:
-            raise DomainError(f"snapshot count must be finite and >= 1, "
-                              f"got {count}")
+        if not (1 <= count < math.inf and count == int(count)):
+            raise DomainError(f"snapshot count must be a finite whole "
+                              f"number >= 1, got {count}")
         snaps = np.linspace(0.0, t_end, int(count) + 1)[1:].tolist()
+    # one scheme and one step control; shipped configs still name them
+    scheme = sdoc.get("scheme", "semi-implicit")
+    if scheme != "semi-implicit":
+        raise DomainError(f"unknown scheme {scheme!r}; the solver steps "
+                          "semi-implicitly")
+    dt_control = sdoc.get("dt_control", "fixed")
+    if dt_control != "fixed":
+        raise DomainError(f"unknown dt control {dt_control!r}; the solver "
+                          "steps at a fixed dt")
     reaction_on = sdoc.get("reaction_on", True)
     if not isinstance(reaction_on, bool):  # bool("false") would be True
         raise DomainError("solver key 'reaction_on' must be true or false, "
                           f"got {reaction_on!r}")
     return SolverConfig(
-        scheme=sdoc.get("scheme", "semi-implicit"),
         dt=config_number(sdoc, "dt", where="solver"),
-        dt_control=sdoc.get("dt_control", "fixed"),
-        safety=config_number(sdoc, "safety", 0.5, where="solver"),
         t_end=t_end,
         snapshots=snaps,
         right=sdoc.get("right", "analytic-clamp"),

@@ -285,17 +285,17 @@ def initial_data_build(C_or_Cbar: float, alpha: float, x0: float,
 class Stencil:
     """dt-independent factors of a grid's nonuniform 3-point second difference.
 
-    ``hl``/``hr`` are the cell widths left and right of each interior node,
-    ``w`` = 2/(hl+hr) and ``inv_sum`` = 1/hl + 1/hr; ``h0_sq``/``hn_sq``
-    square the end cells for the zero-flux ghost rows.
+    The second difference is diag(w) @ K, where K is the symmetric
+    tridiagonal difference of the fluxes diff(v)/h with zero flux beyond
+    either end node. ``inv_h`` = 1/h over the cells, ``w`` = 2/(hl+hr) at
+    interior nodes and 2/h at the two end nodes (their zero-flux ghost
+    rows), and ``inv_sum`` holds the row sums 1/hl + 1/hr of -K's diagonal
+    (1/h at the ends).
     """
 
-    hl: np.ndarray
-    hr: np.ndarray
+    inv_h: np.ndarray
     w: np.ndarray
     inv_sum: np.ndarray
-    h0_sq: float
-    hn_sq: float
 
 
 @dataclass(frozen=True)
@@ -330,12 +330,14 @@ class Grid:
     def stencil(self) -> Stencil:
         """Built on first use and kept as long as the grid lives."""
         h = np.diff(self.x)
-        hl, hr = h[:-1], h[1:]
-        w, inv_sum = 2.0 / (hl + hr), 1.0 / hl + 1.0 / hr
-        for arr in (h, w, inv_sum):
+        inv_h = 1.0 / h
+        w = np.concatenate(([2.0 / h[0]], 2.0 / (h[:-1] + h[1:]),
+                            [2.0 / h[-1]]))
+        inv_sum = np.concatenate((inv_h[:1], inv_h[:-1] + inv_h[1:],
+                                  inv_h[-1:]))
+        for arr in (inv_h, w, inv_sum):
             arr.setflags(write=False)
-        return Stencil(hl=hl, hr=hr, w=w, inv_sum=inv_sum,
-                       h0_sq=h[0] ** 2, hn_sq=h[-1] ** 2)
+        return Stencil(inv_h=inv_h, w=w, inv_sum=inv_sum)
 
 
 def grid_build(kind: str, x_left: float, x_right: float, n: int,
@@ -348,8 +350,8 @@ def grid_build(kind: str, x_left: float, x_right: float, n: int,
     """
     if not -math.inf < x_left < x_right < math.inf:
         raise DomainError("need finite x_left < x_right")
-    if not -math.inf < n < math.inf:
-        raise DomainError(f"cell count must be finite, got {n}")
+    if not (-math.inf < n < math.inf and n == int(n)):
+        raise DomainError(f"cell count must be finite and whole, got {n}")
     n = int(n)
     if n < 2:
         raise DomainError("need at least 2 cells")

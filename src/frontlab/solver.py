@@ -1,14 +1,16 @@
 """Front-tracking finite-difference solver for du/dt = dxx(u^m) + f(u).
 
-Nonuniform 3-point Laplacian, explicit or semi-implicit (lagged
-diffusivity) time stepping, zero-flux left boundary, and a right boundary
-held at an analytic growth clamp so the heavy tail is not truncated.
+Nonuniform 3-point Laplacian, semi-implicit (lagged diffusivity) time
+stepping at a fixed dt, zero-flux left boundary, and a right boundary held
+at an analytic growth clamp so the heavy tail is not truncated.
 
 Every stencil reads the grid's dt-independent factors (``Grid.stencil``,
-built once per grid on first use). The semi-implicit step assembles three
-diagonals and the right-hand side in one work buffer and solves them with
-one LAPACK ``dgtsv`` call; a non-finite entry in the system, a failed
-solve or a non-finite solution raises StabilityFailure.
+built once per grid on first use). Each step solves the symmetric form of
+its tridiagonal system with one LAPACK ``dptsv`` call (L D L^T, no
+pivoting), which needs a positive finite diffusivity m*u^(m-1) on every
+node: a zero one (m > 1) or an infinite one (m < 1), both from u_min = 0
+and a zero node, raises StabilityFailure, as do a non-finite entry in the
+system, a failed solve and a non-finite solution.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .errors import DomainError, DomainExhausted, StabilityFailure
 from .model import Field, Grid, ModelParams, field_build, reaction_eval
@@ -28,18 +30,14 @@ from .regimes import Regime, classify, envelopes, gamma_effective
 __all__ = ["SolverConfig", "SolutionTrajectory", "ResidualReport", "step",
            "simulate", "discrete_residual"]
 
-_SCHEMES = ("explicit", "semi-implicit")
 _RIGHT = ("analytic-clamp", "zero-value", "zero-flux")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scheme, step control, schedule, and boundary policy for one run."""
+    """Fixed step, schedule, and boundary policy for one run."""
 
-    scheme: str = "semi-implicit"
     dt: float = 1e-3
-    dt_control: str = "fixed"      # "fixed" | "cfl" (explicit stability bound)
-    safety: float = 0.5
     t_end: float = 1.0
     snapshots: tuple = ()
     right: str = "analytic-clamp"
@@ -49,14 +47,8 @@ class SolverConfig:
     grid: Optional[Grid] = None
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}")
-        if self.dt_control not in ("fixed", "cfl"):
-            raise DomainError(f"unknown dt control {self.dt_control!r}")
         if self.right not in _RIGHT:
             raise DomainError(f"unknown right boundary policy {self.right!r}")
-        if not 0.0 < self.safety <= 1.0:
-            raise DomainError("safety factor must lie in (0, 1]")
         if not 0.0 <= self.u_min <= 1e-8:
             raise DomainError("u_min must lie in [0, 1e-8]")
         if not 0.0 < self.dt < math.inf:
@@ -99,46 +91,59 @@ class ResidualReport:
     n: int
 
 
-def _second_diff(grid: Grid, v: np.ndarray, right: str) -> np.ndarray:
-    st = grid.stencil
-    dv = np.diff(v)
-    out = np.zeros_like(v)
-    out[1:-1] = st.w * (dv[1:] / st.hr - dv[:-1] / st.hl)
-    out[0] = 2.0 * dv[0] / st.h0_sq      # zero-flux ghost
-    if right == "zero-flux":
-        out[-1] = 2.0 * (v[-2] - v[-1]) / st.hn_sq
+def _flux_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
+    # K v: the difference of the fluxes diff(v)/h, zero beyond either end
+    flux = np.diff(v)
+    flux *= grid.stencil.inv_h
+    out = np.empty_like(v)
+    out[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    out[-1] = -flux[-1]
     return out
 
 
-def _banded_delta(grid: Grid, a: np.ndarray, dt: float, rate: np.ndarray,
-                  right: str) -> np.ndarray:
-    # solve (I - dt D^2 diag(a)) delta = dt * rate
+def _second_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
+    # w (K v), with zero-flux ghost rows at both ends
+    out = _flux_diff(grid, v)
+    out *= grid.stencil.w
+    return out
+
+
+def solve_banded(grid: Grid, a: np.ndarray, dt: float, rate_w: np.ndarray,
+                 right: str) -> np.ndarray:
+    """Solve (I - dt W K diag(a)) delta = dt W rate_w, W = diag(w), for delta.
+
+    With y = a delta and each row scaled by 1/w the matrix becomes
+    diag(1/(w a)) + dt (diag(inv_sum) - offdiag(1/h)): symmetric and, for
+    0 < a < inf, diagonally dominant with a positive diagonal, so LAPACK
+    dptsv factors it as L D L^T without pivoting. A Dirichlet right edge
+    keeps delta = 0 there and drops its row.
+    """
+    # checked on every node: the dropped Dirichlet node would hide an
+    # infinite diffusivity from the system guard below
+    if not (0.0 < a.min() and a.max() < math.inf):
+        raise StabilityFailure(
+            "diffusivity m*u^(m-1) is zero, infinite or NaN; a zero node "
+            "needs u_min > 0 unless m = 1")
     st = grid.stencil
-    dtw = dt * st.w
     n = a.size
-    # d, dl, du and rhs are views of one buffer, so one scan guards them all
-    buf = np.empty(4 * n - 2)
-    d, dl, du, rhs = (buf[:n], buf[n:2 * n - 1], buf[2 * n - 1:3 * n - 2],
-                      buf[3 * n - 2:])
-    np.multiply(dt, rate, out=rhs)
-    d[1:-1] = 1.0 + dtw * a[1:-1] * st.inv_sum
-    dl[:-1] = -dtw * a[:-2] / st.hl
-    du[1:] = -dtw * a[2:] / st.hr
-    d[0] = 1.0 + dt * 2.0 * a[0] / st.h0_sq
-    du[0] = -dt * 2.0 * a[1] / st.h0_sq
-    if right == "zero-flux":
-        d[-1] = 1.0 + dt * 2.0 * a[-1] / st.hn_sq
-        dl[-1] = -dt * 2.0 * a[-2] / st.hn_sq
-    else:
-        d[-1] = 1.0
-        dl[-1] = 0.0
-        rhs[-1] = 0.0
+    k = n if right == "zero-flux" else n - 1
+    # d, e and rhs are views of one buffer, so one scan guards them all
+    buf = np.empty(3 * k - 1)
+    d, e, rhs = buf[:k], buf[k:2 * k - 1], buf[2 * k - 1:]
+    np.multiply(st.w[:k], a[:k], out=d)
+    np.divide(1.0, d, out=d)
+    d += dt * st.inv_sum[:k]
+    np.multiply(st.inv_h[:k - 1], -dt, out=e)
+    np.multiply(rate_w[:k], dt, out=rhs)
     if not np.isfinite(buf).all():
         raise StabilityFailure("semi-implicit system has non-finite entries")
-    _, _, _, delta, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+    _, _, y, info = dptsv(d, e, rhs, 1, 1, 1)
     if info != 0:
         raise StabilityFailure(
-            f"tridiagonal solve failed (LAPACK dgtsv info={info})")
+            f"tridiagonal solve failed (LAPACK dptsv info={info})")
+    delta = np.zeros(n)
+    np.divide(y, a[:k], out=delta[:k])
     if not np.isfinite(delta).all():
         raise StabilityFailure("tridiagonal solve returned non-finite values")
     return delta
@@ -154,22 +159,16 @@ def step(field: Field, dt: float, config: SolverConfig,
     grid = config.grid
     u = field.values
     m = params.m
-    f_u = reaction_eval(params, u) if config.reaction_on else 0.0
-    lap = _second_diff(grid, u ** m, config.right)
-    if config.scheme == "explicit":
-        raw = u + dt * (lap + f_u)
-        # NaN fails both comparisons, so it is rejected here too
-        if not (raw.min() >= -0.01 and raw.max() <= 1.01):
-            raise StabilityFailure(
-                f"explicit update left [-0.01, 1.01] at t={field.t:.6g}")
-        new = np.clip(raw, 0.0, 1.0)
-    else:
-        # an infinite diffusivity (u_min = 0, m < 1, a zero node) is left to
-        # _banded_delta's finite guard rather than reported as a warning
-        with np.errstate(divide="ignore", over="ignore"):
-            a = m * np.maximum(u, config.u_min) ** (m - 1.0)
-        delta = _banded_delta(grid, a, dt, lap + f_u, config.right)
-        new = np.clip(u + delta, 0.0, 1.0)
+    # rate / w = K u^m + f / w, so K u^m is never scaled by w and back
+    rate_w = _flux_diff(grid, u ** m)
+    if config.reaction_on:
+        rate_w += reaction_eval(params, u) / grid.stencil.w
+    # a zero or infinite diffusivity (u_min = 0 and a zero node) is left to
+    # solve_banded's guard rather than reported as a warning
+    with np.errstate(divide="ignore", over="ignore"):
+        a = m * np.maximum(u, config.u_min) ** (m - 1.0)
+    new = u + solve_banded(grid, a, dt, rate_w, config.right)
+    np.clip(new, 0.0, 1.0, out=new)
     t_new = field.t + dt
     if config.right == "zero-value":
         new[-1] = 0.0
@@ -180,16 +179,6 @@ def step(field: Field, dt: float, config: SolverConfig,
             new[-1] = u[-1]
     new.setflags(write=False)
     return Field(values=new, t=float(t_new))
-
-
-def _cfl_dt(values: np.ndarray, min_h2: float, config: SolverConfig,
-            m: float) -> float:
-    if m >= 1.0:
-        M = max(float(values.max()), 1e-12)
-    else:
-        pos = values[values > 0.0]
-        M = max(config.u_min, float(pos.min()) if pos.size else config.u_min)
-    return config.safety * min_h2 / (2.0 * m * M ** (m - 1.0))
 
 
 _UPPER_REGIMES = (Regime.EXPONENTIAL, Regime.POLYNOMIAL,
@@ -258,18 +247,13 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     times = [0.0]
     dts = []
     max_resid = 0.0
-    min_h2 = float(grid.spacings.min()) ** 2
     n_nodes = grid.x.size
     m = params.m
 
     for target in schedule:
         prev_vals, last_dt = None, None
         while fld.t < target - 1e-12:
-            if cfg.dt_control == "cfl":
-                dt = _cfl_dt(fld.values, min_h2, cfg, m)
-            else:
-                dt = cfg.dt
-            dt = min(dt, target - fld.t)
+            dt = min(cfg.dt, target - fld.t)
             prev_vals = fld.values
             fld = step(fld, dt, cfg, params)
             last_dt = dt
@@ -281,7 +265,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
             f_now = (reaction_eval(params, fld.values)
                      if cfg.reaction_on else 0.0)
             r = ((fld.values - prev_vals) / last_dt
-                 - _second_diff(grid, fld.values ** m, cfg.right) - f_now)
+                 - _second_diff(grid, fld.values ** m) - f_now)
             max_resid = max(max_resid, float(np.abs(r[1:-1]).max()))
         s = fld.values - 0.5
         cross = np.nonzero((s[:-1] >= 0.0) != (s[1:] >= 0.0))[0]
@@ -325,7 +309,7 @@ def _grid_residual(traj: SolutionTrajectory, candidate, params: ModelParams,
         v0 = np.asarray(candidate(float(t), x), dtype=float)
         vp = np.asarray(candidate(float(t) + h_t, x), dtype=float)
         vm = np.asarray(candidate(float(t) - h_t, x), dtype=float)
-        lap = _second_diff(traj.grid, v0 ** m, "zero-flux")
+        lap = _second_diff(traj.grid, v0 ** m)
         f_v = 0.0 if reaction_free else reaction_eval(
             params, np.clip(v0, 0.0, 1.0))
         r = (vp - vm) / (2.0 * h_t) - lap - f_v

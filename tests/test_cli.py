@@ -116,9 +116,14 @@ def test_infeasible_selection_exits_4(tmp_path):
     lambda d: d.update(solver=None),
     lambda d: d["solver"].update(reaction_on="false"),
     lambda d: d["experiment"].update(level="half"),
+    lambda d: d["grid"].update(n=300.9),
+    lambda d: d["solver"].update(snapshots={"count": 2.9}),
+    lambda d: d["solver"].update(scheme="explicit"),
+    lambda d: d["solver"].update(dt_control="cfl"),
 ], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
         "word-count", "zero-count", "null-solver", "string-reaction-on",
-        "word-level"])
+        "word-level", "fractional-n", "fractional-count", "explicit-scheme",
+        "cfl-dt-control"])
 def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     path = tiny_config(tmp_path)
     doc = json.loads(path.read_text())
@@ -130,6 +135,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     assert rc == 2
     assert err.startswith("frontlab: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_whole_valued_float_counts_are_accepted(tmp_path):
+    path = tiny_config(tmp_path, snapshots={"count": 40.0})
+    doc = json.loads(path.read_text())
+    doc["grid"]["n"] = 300.0
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+    traj = read_trajectory_csv(out / "trajectory.csv")
+    assert traj.grid.x.size == 301
+    assert len(traj.times) == 41
 
 
 @pytest.mark.parametrize("text", ["{\"m\": 2.0,", "[1, 2]"],

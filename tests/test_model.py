@@ -255,13 +255,14 @@ def _bundle_doc():
 @pytest.mark.parametrize("spoil, match", [
     (lambda d: d["grid"].pop("x_left"), "grid missing key 'x_left'"),
     (lambda d: d["grid"].update(n=float("nan")), "cell count must be finite"),
+    (lambda d: d["grid"].update(n=100.9), "must be finite and whole"),
     (lambda d: d["grid"].update(n="many"), "'n' must be a number"),
     (lambda d: d["grid"].update(ratio=None), "'ratio' must be a number"),
     (lambda d: d.update(grid=[0.0, 1.0]), '"grid" object'),
     (lambda d: d.update(m="two"), "'m' must be a number"),
     (lambda d: d.update(alpha="infinite"), "'alpha' must be a number"),
     (lambda d: d.update(plateau=[1.0]), "'plateau' must be a number"),
-], ids=["no-x-left", "nan-n", "word-n", "null-ratio", "grid-list", "word-m",
+], ids=["no-x-left", "nan-n", "fractional-n", "word-n", "null-ratio", "grid-list", "word-m",
         "word-alpha", "list-plateau"])
 def test_bundle_rejects_malformed_documents(spoil, match):
     doc = _bundle_doc()
