@@ -35,9 +35,10 @@ import numpy as np
 from . import analysis, closedform, waves
 from .errors import (DomainError, FrontlabError, InfeasibleSelection,
                      RegimeMismatch)
-from .model import (Grid, ModelParams, bundle_from_dict, config_number,
-                    config_section, default_reaction, field_build,
-                    params_from_dict, params_to_dict, read_config)
+from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
+                    config_number, config_section, default_reaction,
+                    field_build, params_from_dict, params_to_dict,
+                    read_config)
 from .regimes import Regime, classify, envelopes, linear_speed_bound
 from .solver import SolutionTrajectory, SolverConfig, simulate
 
@@ -192,9 +193,12 @@ def read_trajectory_csv(path: Path) -> SolutionTrajectory:
 
 def _solver_config_from(doc: dict) -> SolverConfig:
     sdoc = config_section(doc, "solver")
+    config_keys(sdoc, ("dt", "t_end", "snapshots", "scheme", "dt_control",
+                       "reaction_on", "right", "u_min"), "solver")
     t_end = config_number(sdoc, "t_end", where="solver")
     snaps = sdoc.get("snapshots", ())
     if isinstance(snaps, dict):
+        config_keys(snaps, ("count",), "solver.snapshots")
         count = config_number(snaps, "count", where="solver.snapshots")
         if not (1 <= count < math.inf and count == int(count)):
             raise DomainError(f"snapshot count must be a finite whole "
@@ -224,7 +228,11 @@ def _solver_config_from(doc: dict) -> SolverConfig:
 
 
 def _experiment_section(doc: dict) -> dict:
-    return config_section(doc, "experiment") if "experiment" in doc else {}
+    if "experiment" not in doc:
+        return {}
+    exp = config_section(doc, "experiment")
+    config_keys(exp, ("level", "epsilon"), "experiment")
+    return exp
 
 
 # ---------------------------------------------------------------------------
@@ -412,30 +420,38 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _sweep_cell(m: float, a: float, b: float) -> tuple:
-    try:
-        kind = classify(m, a, b)
-        return (m, a, b, kind.regime.value, kind.gamma, kind.exponent,
-                kind.label or "", "ok")
-    except FrontlabError as exc:
-        return (m, a, b, "", None, None, "", f"error:{type(exc).__name__}")
+def _sweep_lines(m: float, alphas: list, betas: list):
+    """Lines of sweep.csv, alpha-major; each axis value is formatted once."""
+    yield "m,alpha,beta,regime,gamma,exponent,label,status\n"
+    m_text = _fmt(m)
+    betas = [(b, _fmt(b)) for b in betas]
+    for a in alphas:
+        head = f"{m_text},{_fmt(a)},"
+        for b, b_text in betas:
+            try:
+                kind = classify(m, a, b)
+            except FrontlabError as exc:
+                yield f"{head}{b_text},,,,,error:{type(exc).__name__}\n"
+                continue
+            yield (f"{head}{b_text},{kind.regime.value},{_fmt(kind.gamma)},"
+                   f"{_fmt(kind.exponent)},{kind.label or ''},ok\n")
 
 
 def _cmd_sweep(args) -> int:
     t0 = time.perf_counter()
+    if min(args.alpha_steps, args.beta_steps) < 0:
+        raise DomainError("--alpha-steps and --beta-steps must be >= 0")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
-    cells = [(args.m, float(a), float(b)) for a in alphas for b in betas]
-    rows = [_sweep_cell(*c) for c in cells]
     path = Path(args.out) / "sweep.csv"
-    _write_csv(path, ("m", "alpha", "beta", "regime", "gamma", "exponent",
-                      "label", "status"), rows)
+    _atomic_write(path, _sweep_lines(args.m, alphas.tolist(), betas.tolist()))
     _emit_manifest(args, {"m": args.m,
                           "alpha": [args.alpha_min, args.alpha_max,
                                     args.alpha_steps],
                           "beta": [args.beta_min, args.beta_max,
                                    args.beta_steps]}, [path], t0)
-    print(_dump_json({"rows": len(rows), "sweep": str(path)}, compact=True))
+    print(_dump_json({"rows": alphas.size * betas.size, "sweep": str(path)},
+                     compact=True))
     return 0
 
 

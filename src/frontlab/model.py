@@ -415,6 +415,16 @@ def config_section(doc: dict, name: str) -> dict:
     return section
 
 
+def config_keys(doc: dict, known, where: str) -> None:
+    """A key of ``doc`` outside ``known`` is a DomainError naming it, so a
+    misspelled key cannot silently leave its default in force."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise DomainError(f"{where} has unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}; known: "
+                          f"{', '.join(sorted(known))}")
+
+
 def config_number(doc: dict, key: str, default=_REQUIRED,
                   where: str = "config") -> float:
     """``doc[key]`` as a float, or ``default`` when the key is absent.
@@ -457,6 +467,7 @@ def bundle_from_dict(doc: dict) -> ConfigBundle:
     plateau = config_number(doc, "plateau", 1.0)
     data = initial_data_build(params.C, params.alpha, params.x0, plateau)
     gdoc = config_section(doc, "grid")
+    config_keys(gdoc, ("kind", "x_left", "x_right", "n", "ratio"), "grid")
     grid = grid_build(
         kind=gdoc.get("kind", "uniform"),
         x_left=config_number(gdoc, "x_left", where="grid"),

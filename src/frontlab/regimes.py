@@ -40,6 +40,10 @@ class RegimeKind:
     label: Optional[str] = None
 
 
+_NO_ACCELERATION = RegimeKind(Regime.NO_ACCELERATION)
+_INFINITE_SPEED = RegimeKind(Regime.INFINITE_SPEED)
+
+
 def gamma_effective(m: float, alpha: float) -> float:
     """Effective tail exponent min(alpha, 2/(1-m)); fast diffusion only."""
     if not 0 < m < 1:
@@ -71,17 +75,17 @@ def classify(m: float, alpha: float, beta: float) -> RegimeKind:
     if m >= 1:
         if beta == 1.0:
             if math.isinf(alpha):
-                return RegimeKind(Regime.NO_ACCELERATION)
+                return _NO_ACCELERATION
             return RegimeKind(Regime.EXPONENTIAL, gamma=1.0 / alpha)
         if math.isinf(alpha):
-            return RegimeKind(Regime.NO_ACCELERATION)
+            return _NO_ACCELERATION
         b1 = 1.0 + 1.0 / alpha
         if beta == b1:
             return RegimeKind(Regime.BOUNDARY, label="beta=1+1/alpha")
         if beta < b1:
             return RegimeKind(Regime.POLYNOMIAL,
                               exponent=1.0 / (alpha * (beta - 1.0)))
-        return RegimeKind(Regime.NO_ACCELERATION)
+        return _NO_ACCELERATION
 
     gamma = gamma_effective(m, alpha)
     saturation = 2.0 / (1.0 - m)
@@ -108,8 +112,8 @@ def classify(m: float, alpha: float, beta: float) -> RegimeKind:
         return RegimeKind(Regime.POLY_LOWER_ONLY,
                           exponent=1.0 / (gamma * (beta - 1.0)))
     if b1 < beta < b3:
-        return RegimeKind(Regime.INFINITE_SPEED)
-    return RegimeKind(Regime.NO_ACCELERATION)
+        return _INFINITE_SPEED
+    return _NO_ACCELERATION
 
 
 @dataclass(frozen=True)

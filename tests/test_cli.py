@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -76,9 +77,16 @@ def test_classify_demands_its_flags():
 
 # --- exit code mapping -----------------------------------------------------------
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(tmp_path, capsys):
     assert main(["classify", "--m", "-1", "--alpha", "2", "--beta", "2"]) == 2
     assert main(["simulate"]) == 2  # simulate needs --config
+    for alpha_steps, beta_steps in (("-1", "3"), ("3", "-1")):
+        assert main(["sweep", "--m", "2", "--alpha-min", "1",
+                     "--alpha-max", "2", "--alpha-steps", alpha_steps,
+                     "--beta-min", "1", "--beta-max", "2",
+                     "--beta-steps", beta_steps, "--out", str(tmp_path)]) == 2
+        assert "-steps must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_numerical_failure_exits_3():
@@ -120,10 +128,15 @@ def test_infeasible_selection_exits_4(tmp_path):
     lambda d: d["solver"].update(snapshots={"count": 2.9}),
     lambda d: d["solver"].update(scheme="explicit"),
     lambda d: d["solver"].update(dt_control="cfl"),
+    lambda d: d["solver"].update(rigth="zero-flux"),
+    lambda d: d["solver"]["snapshots"].update(last=1.0),
+    lambda d: d["grid"].update(ration=1.02),
+    lambda d: d["experiment"].update(levle=0.5),
 ], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
         "word-count", "zero-count", "null-solver", "string-reaction-on",
         "word-level", "fractional-n", "fractional-count", "explicit-scheme",
-        "cfl-dt-control"])
+        "cfl-dt-control", "unknown-solver-key", "unknown-snapshots-key",
+        "unknown-grid-key", "unknown-experiment-key"])
 def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     path = tiny_config(tmp_path)
     doc = json.loads(path.read_text())
@@ -134,6 +147,9 @@ def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("frontlab: ")
+    if "unknown key" in err:  # the message names the misspelled key
+        assert any(f"'{k}'" in err
+                   for k in ("rigth", "last", "ration", "levle"))
     assert not (tmp_path / "out").exists()
 
 
@@ -430,6 +446,24 @@ def test_sweep_rows_agree_with_classify(tmp_path, capsys):
         else:
             assert row["status"].startswith("error:")
     assert (tmp_path / "sweep_manifest.json").exists()
+
+
+def test_sweep_bytes_match_the_golden_table(tmp_path, capsys):
+    # 132 cells at m = 0.5: 24 with beta < 1 are DomainError rows and 17 sit
+    # on a boundary curve; the hash pins every byte of the table
+    rc = main(["sweep", "--m", "0.5", "--alpha-min", "0.5", "--alpha-max",
+               "6", "--alpha-steps", "12", "--beta-min", "0.5",
+               "--beta-max", "3", "--beta-steps", "11", "--out",
+               str(tmp_path)])
+    assert rc == 0
+    assert last_json(capsys)["rows"] == 132
+    data = (tmp_path / "sweep.csv").read_bytes()
+    rows = data.decode("utf-8").splitlines()[1:]
+    assert len(rows) == 132
+    assert sum(r.endswith(",error:DomainError") for r in rows) == 24
+    assert sum(",Boundary," in r for r in rows) == 17
+    assert hashlib.sha256(data).hexdigest() == (
+        "4edd7d98b8f98f3d9be91d0436810f171bebef39c7a903e39406b0328be147b1")
 
 
 def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):

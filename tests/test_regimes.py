@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from frontlab.errors import DomainError, RegimeMismatch
 from frontlab.model import ModelParams
 from frontlab.regimes import (
     Regime,
+    RegimeKind,
     classify,
     envelopes,
     gamma_effective,
@@ -36,6 +38,21 @@ def make_params(m, alpha, beta, **over):
 ])
 def test_classify_examples(m, alpha, beta, regime):
     assert classify(m, alpha, beta).regime is regime
+
+
+@pytest.mark.parametrize("m,alpha,beta,regime", [
+    (2.0, 2.0, 2.5, Regime.NO_ACCELERATION),
+    (2.0, float("inf"), 1.0, Regime.NO_ACCELERATION),
+    (0.5, 3.0, 1.6, Regime.NO_ACCELERATION),
+    (0.5, 3.0, 1.4, Regime.INFINITE_SPEED),
+])
+def test_number_free_kinds_are_shared_and_frozen(m, alpha, beta, regime):
+    kind = classify(m, alpha, beta)
+    assert kind == RegimeKind(regime)
+    assert kind is classify(m, alpha, beta)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kind.gamma = 1.0
+    assert classify(m, alpha, beta) == RegimeKind(regime)
 
 
 def test_polynomial_exponent_value():
