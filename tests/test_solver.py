@@ -434,6 +434,12 @@ def test_solve_matches_the_dense_system_on_random_grids(grid, right, dt,
                                      elements=st.floats(-3.0, 3.0)))
     rate = data.draw(hnp.arrays(np.float64, n,
                                 elements=st.floats(-1.0, 1.0)))
+    # the solve is linear in rate, so scaling it to a unit maximum loses no
+    # case; it keeps the solution out of the subnormal range, where a float
+    # holds fewer digits than the 1e-12 bound asks of either solver
+    peak = np.max(np.abs(rate))
+    if peak > 0.0:
+        rate = rate / peak
     A = np.eye(n) - dt * dense_second_diff(grid.x, right) * a[None, :]
     b = dt * rate
     if right != "zero-flux":
