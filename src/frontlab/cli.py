@@ -39,7 +39,8 @@ from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
                     config_number, config_section, default_reaction,
                     field_build, params_from_dict, params_to_dict,
                     read_config)
-from .regimes import Regime, classify, envelopes, linear_speed_bound
+from .regimes import (KINDS, NUMBER_FIELD, Regime, classify, classify_row,
+                      envelopes, linear_speed_bound)
 from .solver import SolutionTrajectory, SolverConfig, simulate
 
 __all__ = ["main", "RunManifest"]
@@ -420,21 +421,38 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _sweep_lines(m: float, alphas: list, betas: list):
-    """Lines of sweep.csv, alpha-major; each axis value is formatted once."""
+def _sweep_tails() -> list:
+    """Per kind code, the end of a sweep.csv line after its beta; a ``{}``
+    stands where the cell's gamma or exponent goes."""
+    tails = []
+    for kind in KINDS:
+        if kind is None:
+            tails.append(f",,,,,error:{DomainError.__name__}\n")
+            continue
+        field = NUMBER_FIELD.get(kind.regime)
+        gamma = "{}" if field == "gamma" else ""
+        exponent = "{}" if field == "exponent" else ""
+        tails.append(f",{kind.regime.value},{gamma},{exponent},"
+                     f"{kind.label or ''},ok\n")
+    return tails
+
+
+def _sweep_lines(m: float, alphas: list, betas: np.ndarray):
+    """Chunks of sweep.csv, alpha-major: the header, then one chunk per
+    alpha row from one classify_row call; each axis value is formatted
+    once, and per cell only its gamma or exponent."""
     yield "m,alpha,beta,regime,gamma,exponent,label,status\n"
     m_text = _fmt(m)
-    betas = [(b, _fmt(b)) for b in betas]
+    b_texts = [_fmt(b) for b in betas.tolist()]
+    tails = _sweep_tails()
+    numbered = ["{}" in tail for tail in tails]
     for a in alphas:
+        codes, values = classify_row(m, a, betas)
         head = f"{m_text},{_fmt(a)},"
-        for b, b_text in betas:
-            try:
-                kind = classify(m, a, b)
-            except FrontlabError as exc:
-                yield f"{head}{b_text},,,,,error:{type(exc).__name__}\n"
-                continue
-            yield (f"{head}{b_text},{kind.regime.value},{_fmt(kind.gamma)},"
-                   f"{_fmt(kind.exponent)},{kind.label or ''},ok\n")
+        yield "".join(
+            head + b_text + (tails[c].format(format(v, ".17g"))
+                             if numbered[c] else tails[c])
+            for b_text, c, v in zip(b_texts, codes.tolist(), values.tolist()))
 
 
 def _cmd_sweep(args) -> int:
@@ -444,7 +462,7 @@ def _cmd_sweep(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     path = Path(args.out) / "sweep.csv"
-    _atomic_write(path, _sweep_lines(args.m, alphas.tolist(), betas.tolist()))
+    _atomic_write(path, _sweep_lines(args.m, alphas.tolist(), betas))
     _emit_manifest(args, {"m": args.m,
                           "alpha": [args.alpha_min, args.alpha_max,
                                     args.alpha_steps],

@@ -25,6 +25,8 @@ LIGHT_TAIL_RATE = 2.0
 FIELD_BAND = 1e-12
 
 CONFIG_KEYS = ("m", "alpha", "beta", "r", "r_bar", "C", "C_bar", "s0", "x0")
+# Every key the top level of a config document may carry.
+TOP_LEVEL_KEYS = CONFIG_KEYS + ("plateau", "grid", "solver", "experiment")
 
 
 @dataclass(frozen=True)
@@ -444,7 +446,11 @@ def config_number(doc: dict, key: str, default=_REQUIRED,
 
 
 def params_from_dict(doc: dict) -> ModelParams:
-    """Build ModelParams from a config document (alpha may be "inf")."""
+    """Build ModelParams from a config document (alpha may be "inf").
+
+    A top-level key outside TOP_LEVEL_KEYS is a DomainError naming it.
+    """
+    config_keys(doc, TOP_LEVEL_KEYS, "config")
     missing = [k for k in CONFIG_KEYS if k not in doc]
     if missing:
         raise DomainError(f"config missing keys: {', '.join(missing)}")

@@ -5,10 +5,16 @@ cases sit on the dividing curves and are reported as Boundary with a label
 rather than silently bucketed. For fast diffusion (m < 1) everything runs
 through the effective tail exponent gamma = min(alpha, 2/(1-m)), since the
 equation fattens any lighter tail up to x^(-2/(1-m)).
+
+The diagram is decided in one place, ``classify_row``, which takes one m,
+one alpha and an array of beta and returns a kind code and a gamma or
+exponent per cell, so a sweep classifies a whole alpha row per call.
+``classify`` is its one-cell case and returns a RegimeKind.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,8 +46,31 @@ class RegimeKind:
     label: Optional[str] = None
 
 
-_NO_ACCELERATION = RegimeKind(Regime.NO_ACCELERATION)
-_INFINITE_SPEED = RegimeKind(Regime.INFINITE_SPEED)
+# Kind codes of classify_row: KINDS[code] is the cell's kind with its
+# number left out, and NUMBER_FIELD names the field the cell's value fills
+# for the kinds that carry one. The last three codes mark a cell outside the
+# domain, one per check in the order m, beta, alpha; KINDS holds None there.
+(_NOACC, _INFSPEED, _EXPONENTIAL, _POLYNOMIAL, _LOWER_ONLY, _EDGE_ALPHA,
+ _EDGE_SATURATION, _EDGE_2_M, _EDGE_GAMMA, _EDGE_M_GAMMA, _BAD_M, _BAD_BETA,
+ _BAD_ALPHA) = range(13)
+KINDS = (
+    RegimeKind(Regime.NO_ACCELERATION),
+    RegimeKind(Regime.INFINITE_SPEED),
+    RegimeKind(Regime.EXPONENTIAL),
+    RegimeKind(Regime.POLYNOMIAL),
+    RegimeKind(Regime.POLY_LOWER_ONLY),
+    RegimeKind(Regime.BOUNDARY, label="beta=1+1/alpha"),
+    RegimeKind(Regime.BOUNDARY, label="alpha=2/(1-m)"),
+    RegimeKind(Regime.BOUNDARY, label="beta=2-m"),
+    RegimeKind(Regime.BOUNDARY, label="beta=1+1/gamma"),
+    RegimeKind(Regime.BOUNDARY, label="beta=m+2/gamma"),
+    None, None, None,
+)
+NUMBER_FIELD = {Regime.EXPONENTIAL: "gamma", Regime.POLYNOMIAL: "exponent",
+                Regime.POLY_LOWER_ONLY: "exponent"}
+_DOMAIN_MESSAGES = ("m must be positive, got {m}",
+                    "beta must be >= 1, got {beta}",
+                    "alpha must lie in (0, inf], got {alpha}")
 
 
 def gamma_effective(m: float, alpha: float) -> float:
@@ -53,67 +82,88 @@ def gamma_effective(m: float, alpha: float) -> float:
     return min(alpha, 2.0 / (1.0 - m))
 
 
-def classify(m: float, alpha: float, beta: float) -> RegimeKind:
-    """Locate (m, alpha, beta) in the phase diagram.
+def classify_row(m: float, alpha: float,
+                 betas) -> tuple[np.ndarray, np.ndarray]:
+    """Locate (m, alpha, beta) in the phase diagram for each beta of a row.
+
+    Returns ``(codes, values)``, two arrays shaped like ``betas``: the kind
+    code of each cell (see KINDS) and its gamma or exponent (NaN for a kind
+    without a number). The first matching condition below wins.
 
     m >= 1: the only acceleration mechanism is the heavy tail itself, and
-    the no-acceleration threshold max(1+1/alpha, 2-m) collapses to 1+1/alpha
-    since 2-m <= 1 <= beta. m < 1: the diagram is richer; with
-    b1 = 1+1/gamma, b2 = m+2/gamma and b3 = 2-m the regions are
-    polynomial (beta < min(b1, b2)), lower-envelope-only (b2 < beta < b1),
-    infinite speed without localization (b1 < beta < b3), and none
-    (beta >= max(b1, b3)); beta = 1 accelerates exponentially except at the
-    critical alpha = 2/(1-m).
+    the no-acceleration threshold max(1+1/alpha, 2-m) collapses to
+    b1 = 1+1/alpha since 2-m <= 1 <= beta: polynomial below b1, none above,
+    the boundary beta=1+1/alpha on it, and no acceleration at all for
+    alpha = inf. m < 1: the diagram is richer; with b1 = 1+1/gamma,
+    b2 = m+2/gamma and b3 = 2-m the regions are polynomial
+    (beta < min(b1, b2)), lower-envelope-only (b2 < beta < b1), infinite
+    speed without localization (b1 < beta < b3), and none
+    (beta >= max(b1, b3)). beta = 1 accelerates exponentially in both,
+    except at alpha = inf for m >= 1 and on the critical alpha = 2/(1-m)
+    for m < 1.
     """
+    betas = np.asarray(betas, dtype=float)
+    values = np.full(betas.shape, np.nan)
     if not m > 0:
-        raise DomainError(f"m must be positive, got {m}")
-    if not beta >= 1:
-        raise DomainError(f"beta must be >= 1, got {beta}")
+        return np.full(betas.shape, _BAD_M), values
+    in_domain = betas >= 1.0
     if not alpha > 0:
-        raise DomainError(f"alpha must lie in (0, inf], got {alpha}")
-
+        return np.where(in_domain, _BAD_ALPHA, _BAD_BETA), values
+    m, alpha = float(m), float(alpha)
+    kpp = betas == 1.0
     if m >= 1:
-        if beta == 1.0:
-            if math.isinf(alpha):
-                return _NO_ACCELERATION
-            return RegimeKind(Regime.EXPONENTIAL, gamma=1.0 / alpha)
         if math.isinf(alpha):
-            return _NO_ACCELERATION
+            return np.where(in_domain, _NOACC, _BAD_BETA), values
+        rate, gamma = 1.0 / alpha, alpha
         b1 = 1.0 + 1.0 / alpha
-        if beta == b1:
-            return RegimeKind(Regime.BOUNDARY, label="beta=1+1/alpha")
-        if beta < b1:
-            return RegimeKind(Regime.POLYNOMIAL,
-                              exponent=1.0 / (alpha * (beta - 1.0)))
-        return _NO_ACCELERATION
+        ladder = [(kpp, _EXPONENTIAL), (betas == b1, _EDGE_ALPHA),
+                  (betas < b1, _POLYNOMIAL)]
+    else:
+        gamma = gamma_effective(m, alpha)
+        rate = max((1.0 - m) / 2.0, 1.0 / alpha)
+        saturation = 2.0 / (1.0 - m)
+        b1 = 1.0 + 1.0 / gamma
+        b2 = m + 2.0 / gamma
+        b3 = 2.0 - m
+        pinch = 1.0 / (1.0 - m)  # gamma at which b1 = b2 = b3
+        ladder = [(kpp, _EDGE_SATURATION if alpha == saturation
+                   else _EXPONENTIAL)]
+        if gamma >= pinch:
+            ladder.append((betas == b3, _EDGE_2_M))
+        ladder.append((betas == b1, _EDGE_GAMMA))
+        if gamma > pinch:
+            ladder.append((betas == b2, _EDGE_M_GAMMA))
+        ladder += [(betas < min(b1, b2), _POLYNOMIAL),
+                   ((b2 < betas) & (betas < b1), _LOWER_ONLY),
+                   ((b1 < betas) & (betas < b3), _INFSPEED)]
+    codes = np.full(betas.shape, _NOACC)
+    # assigned last to first, so the first matching condition wins
+    for cond, code in reversed(ladder):
+        codes[cond] = code
+    codes[~in_domain] = _BAD_BETA
+    values[codes == _EXPONENTIAL] = rate
+    poly = (codes == _POLYNOMIAL) | (codes == _LOWER_ONLY)
+    # a tiny alpha can overflow 1/(gamma (beta-1)) to inf, as Python float
+    # arithmetic does without a warning
+    with np.errstate(divide="ignore", over="ignore"):
+        values[poly] = 1.0 / (gamma * (betas[poly] - 1.0))
+    return codes, values
 
-    gamma = gamma_effective(m, alpha)
-    saturation = 2.0 / (1.0 - m)
-    if beta == 1.0:
-        if alpha == saturation:
-            return RegimeKind(Regime.BOUNDARY, label="alpha=2/(1-m)")
-        return RegimeKind(Regime.EXPONENTIAL,
-                          gamma=max((1.0 - m) / 2.0, 1.0 / alpha))
 
-    b1 = 1.0 + 1.0 / gamma
-    b2 = m + 2.0 / gamma
-    b3 = 2.0 - m
-    pinch = 1.0 / (1.0 - m)  # gamma at which b1 = b2 = b3
-    if beta == b3 and gamma >= pinch:
-        return RegimeKind(Regime.BOUNDARY, label="beta=2-m")
-    if beta == b1:
-        return RegimeKind(Regime.BOUNDARY, label="beta=1+1/gamma")
-    if beta == b2 and gamma > pinch:
-        return RegimeKind(Regime.BOUNDARY, label="beta=m+2/gamma")
-    if beta < min(b1, b2):
-        return RegimeKind(Regime.POLYNOMIAL,
-                          exponent=1.0 / (gamma * (beta - 1.0)))
-    if b2 < beta < b1:
-        return RegimeKind(Regime.POLY_LOWER_ONLY,
-                          exponent=1.0 / (gamma * (beta - 1.0)))
-    if b1 < beta < b3:
-        return _INFINITE_SPEED
-    return _NO_ACCELERATION
+def classify(m: float, alpha: float, beta: float) -> RegimeKind:
+    """Locate (m, alpha, beta) in the phase diagram: the one-cell case of
+    classify_row. A triple outside the domain is a DomainError naming the
+    first check it fails."""
+    codes, values = classify_row(m, alpha, [beta])
+    code = int(codes[0])
+    kind = KINDS[code]
+    if kind is None:
+        raise DomainError(_DOMAIN_MESSAGES[code - _BAD_M].format(
+            m=m, alpha=alpha, beta=beta))
+    field = NUMBER_FIELD.get(kind.regime)
+    if field is None:
+        return kind
+    return dataclasses.replace(kind, **{field: float(values[0])})
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,10 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     schedule = cfg.snapshots
     if not schedule:
         schedule = tuple(np.linspace(0.0, cfg.t_end, 11)[1:])
-    if any(s <= 0.0 for s in schedule) or list(schedule) != sorted(schedule):
-        raise DomainError("snapshot schedule must be positive and increasing")
+    if schedule[0] <= 0.0 or any(b <= a for a, b in zip(schedule,
+                                                          schedule[1:])):
+        raise DomainError("snapshot schedule must be positive and strictly "
+                          "increasing")
     if schedule[-1] > cfg.t_end + 1e-12:
         raise DomainError("snapshot schedule exceeds t_end")
 

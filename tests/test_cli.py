@@ -132,11 +132,13 @@ def test_infeasible_selection_exits_4(tmp_path):
     lambda d: d["solver"]["snapshots"].update(last=1.0),
     lambda d: d["grid"].update(ration=1.02),
     lambda d: d["experiment"].update(levle=0.5),
+    lambda d: d.update(plateu=0.3),
 ], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
         "word-count", "zero-count", "null-solver", "string-reaction-on",
         "word-level", "fractional-n", "fractional-count", "explicit-scheme",
         "cfl-dt-control", "unknown-solver-key", "unknown-snapshots-key",
-        "unknown-grid-key", "unknown-experiment-key"])
+        "unknown-grid-key", "unknown-experiment-key",
+        "unknown-top-level-key"])
 def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     path = tiny_config(tmp_path)
     doc = json.loads(path.read_text())
@@ -149,7 +151,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     assert err.startswith("frontlab: ")
     if "unknown key" in err:  # the message names the misspelled key
         assert any(f"'{k}'" in err
-                   for k in ("rigth", "last", "ration", "levle"))
+                   for k in ("rigth", "last", "ration", "levle", "plateu"))
     assert not (tmp_path / "out").exists()
 
 
@@ -448,22 +450,39 @@ def test_sweep_rows_agree_with_classify(tmp_path, capsys):
     assert (tmp_path / "sweep_manifest.json").exists()
 
 
+# (m, (alpha min, max, steps), (beta min, max, steps), DomainError rows,
+# Boundary rows, sha256 of sweep.csv)
+GOLDEN_SWEEPS = [
+    # m = 0.5: the 24 cells with beta < 1 are errors, 17 sit on a curve
+    ("0.5", ("0.5", "6", "12"), ("0.5", "3", "11"), 24, 17,
+     "4edd7d98b8f98f3d9be91d0436810f171bebef39c7a903e39406b0328be147b1"),
+    # m = 2: 16 cells with beta < 1, and 4 on beta = 1+1/alpha (alpha =
+    # 0.5, 1, 2, 4)
+    ("2", ("0.5", "4", "8"), ("0.5", "3", "11"), 16, 4,
+     "b171964496cddcede0369610b99e3f75d8cfeb519f5ebe14f42b1b963f37c038"),
+    # m = 0 lies outside the domain, so every cell is an error
+    ("0", ("-1", "4", "6"), ("0.5", "3", "6"), 36, 0,
+     "84cc6c8434247e8250d09ed7d145331b5c47c270e8cd35c546f97e4ec59ae18f"),
+]
+
+
 def test_sweep_bytes_match_the_golden_table(tmp_path, capsys):
-    # 132 cells at m = 0.5: 24 with beta < 1 are DomainError rows and 17 sit
-    # on a boundary curve; the hash pins every byte of the table
-    rc = main(["sweep", "--m", "0.5", "--alpha-min", "0.5", "--alpha-max",
-               "6", "--alpha-steps", "12", "--beta-min", "0.5",
-               "--beta-max", "3", "--beta-steps", "11", "--out",
-               str(tmp_path)])
-    assert rc == 0
-    assert last_json(capsys)["rows"] == 132
-    data = (tmp_path / "sweep.csv").read_bytes()
-    rows = data.decode("utf-8").splitlines()[1:]
-    assert len(rows) == 132
-    assert sum(r.endswith(",error:DomainError") for r in rows) == 24
-    assert sum(",Boundary," in r for r in rows) == 17
-    assert hashlib.sha256(data).hexdigest() == (
-        "4edd7d98b8f98f3d9be91d0436810f171bebef39c7a903e39406b0328be147b1")
+    # each hash pins every byte of its table
+    for m, alpha, beta, errors, boundaries, digest in GOLDEN_SWEEPS:
+        out = tmp_path / f"m{m}"
+        rc = main(["sweep", "--m", m, "--alpha-min", alpha[0],
+                   "--alpha-max", alpha[1], "--alpha-steps", alpha[2],
+                   "--beta-min", beta[0], "--beta-max", beta[1],
+                   "--beta-steps", beta[2], "--out", str(out)])
+        assert rc == 0
+        cells = int(alpha[2]) * int(beta[2])
+        assert last_json(capsys)["rows"] == cells
+        data = (out / "sweep.csv").read_bytes()
+        rows = data.decode("utf-8").splitlines()[1:]
+        assert len(rows) == cells
+        assert sum(r.endswith(",error:DomainError") for r in rows) == errors
+        assert sum(",Boundary," in r for r in rows) == boundaries
+        assert hashlib.sha256(data).hexdigest() == digest, m
 
 
 def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):

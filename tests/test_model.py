@@ -262,8 +262,9 @@ def _bundle_doc():
     (lambda d: d.update(m="two"), "'m' must be a number"),
     (lambda d: d.update(alpha="infinite"), "'alpha' must be a number"),
     (lambda d: d.update(plateau=[1.0]), "'plateau' must be a number"),
+    (lambda d: d.update(plateu=0.3), r"config has unknown key\(s\) 'plateu'"),
 ], ids=["no-x-left", "nan-n", "fractional-n", "word-n", "null-ratio", "grid-list", "word-m",
-        "word-alpha", "list-plateau"])
+        "word-alpha", "list-plateau", "unknown-top-level-key"])
 def test_bundle_rejects_malformed_documents(spoil, match):
     doc = _bundle_doc()
     spoil(doc)

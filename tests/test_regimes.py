@@ -8,9 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from frontlab.errors import DomainError, RegimeMismatch
 from frontlab.model import ModelParams
 from frontlab.regimes import (
+    KINDS,
+    NUMBER_FIELD,
     Regime,
     RegimeKind,
     classify,
+    classify_row,
     envelopes,
     gamma_effective,
     linear_speed_bound,
@@ -103,6 +106,118 @@ def test_gamma_effective_values_and_domain():
     assert gamma_effective(0.5, float("inf")) == 4.0
     with pytest.raises(DomainError):
         gamma_effective(1.5, 3.0)
+
+
+# --- the array classifier against the scalar ladder ------------------------
+
+def oracle_classify(m, alpha, beta):
+    """The phase diagram as one scalar if-ladder per triple: the reference
+    classify_row must match cell by cell, bit for bit."""
+    if not m > 0:
+        raise DomainError(f"m must be positive, got {m}")
+    if not beta >= 1:
+        raise DomainError(f"beta must be >= 1, got {beta}")
+    if not alpha > 0:
+        raise DomainError(f"alpha must lie in (0, inf], got {alpha}")
+
+    if m >= 1:
+        if beta == 1.0:
+            if math.isinf(alpha):
+                return RegimeKind(Regime.NO_ACCELERATION)
+            return RegimeKind(Regime.EXPONENTIAL, gamma=1.0 / alpha)
+        if math.isinf(alpha):
+            return RegimeKind(Regime.NO_ACCELERATION)
+        b1 = 1.0 + 1.0 / alpha
+        if beta == b1:
+            return RegimeKind(Regime.BOUNDARY, label="beta=1+1/alpha")
+        if beta < b1:
+            return RegimeKind(Regime.POLYNOMIAL,
+                              exponent=1.0 / (alpha * (beta - 1.0)))
+        return RegimeKind(Regime.NO_ACCELERATION)
+
+    saturation = 2.0 / (1.0 - m)
+    gamma = min(alpha, saturation)
+    if beta == 1.0:
+        if alpha == saturation:
+            return RegimeKind(Regime.BOUNDARY, label="alpha=2/(1-m)")
+        return RegimeKind(Regime.EXPONENTIAL,
+                          gamma=max((1.0 - m) / 2.0, 1.0 / alpha))
+
+    b1 = 1.0 + 1.0 / gamma
+    b2 = m + 2.0 / gamma
+    b3 = 2.0 - m
+    pinch = 1.0 / (1.0 - m)  # gamma at which b1 = b2 = b3
+    if beta == b3 and gamma >= pinch:
+        return RegimeKind(Regime.BOUNDARY, label="beta=2-m")
+    if beta == b1:
+        return RegimeKind(Regime.BOUNDARY, label="beta=1+1/gamma")
+    if beta == b2 and gamma > pinch:
+        return RegimeKind(Regime.BOUNDARY, label="beta=m+2/gamma")
+    if beta < min(b1, b2):
+        return RegimeKind(Regime.POLYNOMIAL,
+                          exponent=1.0 / (gamma * (beta - 1.0)))
+    if b2 < beta < b1:
+        return RegimeKind(Regime.POLY_LOWER_ONLY,
+                          exponent=1.0 / (gamma * (beta - 1.0)))
+    if b1 < beta < b3:
+        return RegimeKind(Regime.INFINITE_SPEED)
+    return RegimeKind(Regime.NO_ACCELERATION)
+
+
+@st.composite
+def rows(draw):
+    """One (m, alpha) and a few betas: random values, values exactly on
+    every dividing curve, and values outside the domain. alpha stays at or
+    above 1e-3, where 1/(gamma (beta-1)) cannot underflow its denominator
+    to zero (the ladder would raise ZeroDivisionError there)."""
+    nan, inf = math.nan, math.inf
+    m = draw(st.one_of(st.floats(0.01, 4.0),
+                       st.sampled_from([0.5, 1.0, 2.0, 0.0, -0.5, nan])))
+    alphas = [st.floats(1e-3, 1e3), st.sampled_from([inf, 0.0, -1.0, nan])]
+    if 0 < m < 1:  # the critical alpha, and the one where b1 = b2 = b3
+        alphas.append(st.sampled_from([2.0 / (1.0 - m), 1.0 / (1.0 - m)]))
+    alpha = draw(st.one_of(alphas))
+    edges = [1.0, 2.0 - m, 0.5, -inf, nan, inf]
+    if m > 0 and alpha > 0:
+        gamma = min(alpha, 2.0 / (1.0 - m)) if m < 1 else alpha
+        edges += [1.0 + 1.0 / gamma, m + 2.0 / gamma, 1.0 + 1.0 / alpha]
+    beta = st.one_of(st.floats(1.0, 4.0), st.sampled_from(edges),
+                     st.floats(-2.0, 1.0))
+    return m, alpha, draw(st.lists(beta, min_size=1, max_size=12))
+
+
+def _bits(x):
+    return None if x is None else x.hex()
+
+
+@settings(max_examples=600, deadline=None)
+@given(row=rows())
+def test_classify_row_matches_the_scalar_ladder(row):
+    m, alpha, betas = row
+    codes, values = classify_row(m, alpha, np.array(betas))
+    assert codes.shape == values.shape == (len(betas),)
+    for beta, code, value in zip(betas, codes.tolist(), values.tolist()):
+        try:
+            want = oracle_classify(m, alpha, beta)
+        except DomainError as exc:
+            assert KINDS[code] is None
+            with pytest.raises(DomainError) as got:
+                classify(m, alpha, beta)
+            assert str(got.value) == str(exc)
+            continue
+        kind = KINDS[code]
+        assert (kind.regime, kind.label) == (want.regime, want.label)
+        field = NUMBER_FIELD.get(kind.regime)
+        numbers = {"gamma": want.gamma, "exponent": want.exponent}
+        if field is None:
+            assert numbers == {"gamma": None, "exponent": None}
+        else:
+            assert _bits(value) == _bits(numbers.pop(field))
+            assert set(numbers.values()) == {None}
+        got = classify(m, alpha, beta)
+        assert got == want
+        assert (_bits(got.gamma), _bits(got.exponent)) == (
+            _bits(want.gamma), _bits(want.exponent))
 
 
 # --- partition / consistency properties -----------------------------------

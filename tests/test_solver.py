@@ -271,7 +271,7 @@ def test_snapshot_schedule_is_validated():
     p = make_params(2.0, 2.0, 1.25)
     grid = grid_build("uniform", -5.0, 60.0, 100)
     u0 = initial_data_build(1.0, 2.0, 2.0, 1.0)
-    for snaps in [(-1.0,), (2.0, 1.0), (99.0,)]:
+    for snaps in [(-1.0,), (2.0, 1.0), (99.0,), (0.5, 0.5, 1.0)]:
         cfg = SolverConfig(dt=1e-2, t_end=3.0, snapshots=snaps)
         with pytest.raises(DomainError):
             simulate(u0, grid, cfg, p)
