@@ -41,7 +41,8 @@ from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
                     read_config)
 from .regimes import (KINDS, NUMBER_FIELD, Regime, classify, classify_row,
                       envelopes, linear_speed_bound)
-from .solver import SolutionTrajectory, SolverConfig, simulate
+from .solver import (SolutionTrajectory, SolverConfig, discrete_residual,
+                     simulate)
 
 __all__ = ["main", "RunManifest"]
 
@@ -273,6 +274,14 @@ def _cmd_construct(args) -> int:
     else:
         spec = closedform.right_tail_spec(params, eps=min(eps, 0.5))
     doc = closedform.describe(spec)
+    rep = discrete_residual(None, spec, params, samples=spec.sampler())
+    # the AC6 sign rule: a subsolution's residual is <= 0, a supersolution's
+    # >= 0, each up to the refinement tolerance
+    sign_ok = (rep.max_residual <= rep.tolerance if spec.sign < 0
+               else rep.min_residual >= -rep.tolerance)
+    doc["residual"] = {"max": rep.max_residual, "min": rep.min_residual,
+                       "mean": rep.mean_residual, "tolerance": rep.tolerance,
+                       "n": rep.n, "sign_ok": sign_ok}
     print(_dump_json(doc, compact=args.as_json))
     if args.out is not None:
         out = Path(args.out) / f"construct_{args.kind}.json"

@@ -56,8 +56,16 @@ class SubsolutionSpec:
 
     ``sign`` is -1 for subsolutions (residual must be <= 0) and +1 for
     supersolutions; ``reaction_free`` marks candidates certified against
-    the pure diffusion equation (f = 0). ``sampler()`` returns (t, x)
-    arrays inside the smooth validity region, with margins around kinks.
+    the pure diffusion equation (f = 0). ``sampler()`` returns aligned
+    (t, x) arrays inside the smooth validity region, with margins around
+    kinks.
+
+    ``evaluate(t, x)`` takes float arrays t and x that broadcast together
+    (aligned arrays of one shape in the sampled residual check, which makes
+    one call per stencil offset) and returns the candidate on their
+    broadcast shape, each value depending on its own (t, x) alone. Calling
+    the spec also takes numbers: two numbers are evaluated as one-point
+    arrays and give a float, the same bits as in an array call.
     """
 
     kind: str
@@ -69,7 +77,13 @@ class SubsolutionSpec:
     reaction_free: bool = False
 
     def __call__(self, t, x):
-        return self.evaluate(t, x)
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if t.ndim or x.ndim:
+            return self.evaluate(t, x)
+        # numpy's scalar arithmetic rounds pow differently from its array
+        # loops, so a number goes through the array path too
+        return float(self.evaluate(t[None], x[None])[0])
 
 
 def _enforce(kind: str, checks) -> tuple:
@@ -120,12 +134,17 @@ def _rho_midpoint(r: float, eps: float, beta: float, eta: float) -> float:
 # ---------------------------------------------------------------------------
 # growth solutions and level curves
 
-def growth_eval(g: GrowthSolution, t: float, x):
-    """w(t,x): exponential growth (beta=1) or finite-time blow-up (beta>1)."""
+def growth_eval(g: GrowthSolution, t, x):
+    """w(t,x): exponential growth (beta=1) or finite-time blow-up (beta>1).
+
+    t is a number or an array broadcast against x. Past blow-up at any
+    evaluated point, BlowUp carries the earliest blow-up time over all of
+    them.
+    """
     u = np.asarray(g.u0(x), dtype=float)
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     if g.beta == 1.0:
-        out = u * math.exp(g.rho * t)
+        out = u * np.exp(g.rho * t)
     else:
         bm1 = g.beta - 1.0
         base = u ** (-bm1) - g.rho * bm1 * t
@@ -134,7 +153,6 @@ def growth_eval(g: GrowthSolution, t: float, x):
             raise BlowUp(f"growth solution past blow-up (T={t_min:.6g})",
                          t_blow=t_min)
         out = base ** (-1.0 / bm1)
-    out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,10 +284,8 @@ def pme_bump_params(params: ModelParams, epsilon: float,
     cut = A ** (-1.0 / eta)
 
     def evaluate(t, x):
-        w = np.asarray(growth_eval(growth, t, x), dtype=float)
-        out = np.maximum(0.0, w - A * w ** (1.0 + eta))
-        out = np.asarray(out)
-        return float(out) if out.ndim == 0 else out
+        w = growth_eval(growth, t, x)
+        return np.maximum(0.0, w - A * w ** (1.0 + eta))
 
     def sampler(n_t: int = 8, n_x: int = 32):
         x_lo = max((C / (0.45 * cut)) ** (1.0 / alpha), 1.1 * x1)
@@ -303,19 +319,17 @@ def _plateau_cut_spec(kind: str, datum: InitialData, tail_C: float,
     growth = GrowthSolution(rho=rho, beta=beta, u0=datum)
 
     def X_of_t(t):
-        return level_curve(theta_star, max(float(t), 0.0), tail_C, tail_exp,
+        return level_curve(theta_star, np.maximum(t, 0.0), tail_C, tail_exp,
                            beta, rho)
 
     def evaluate(t, x):
-        arr = np.asarray(x, dtype=float)
-        xa = np.atleast_1d(arr).astype(float)
-        Xt = X_of_t(t)
-        out = np.full(xa.shape, plateau_val)
-        mask = xa > Xt
+        t, x = np.broadcast_arrays(t, x)
+        out = np.full(x.shape, plateau_val)
+        mask = x > X_of_t(t)
         if mask.any():
-            w = np.atleast_1d(np.asarray(growth_eval(growth, t, xa[mask])))
+            w = growth_eval(growth, t[mask], x[mask])
             out[mask] = w * (1.0 - A * w ** eta)
-        return float(out[0]) if arr.ndim == 0 else out
+        return out
 
     def sampler(n_t: int = 6, n_x: int = 32):
         ts, xs = [], []
@@ -537,7 +551,7 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
     if X is None:
         def tail_dominated(xp):
             grid = np.geomspace(xp, 100.0 * xp, 160)
-            v_vals = np.asarray(evaluate(T, grid))
+            v_vals = evaluate(T, grid)
             return bool(np.all(v_vals * grid ** alpha <= C))
         X_prime = _grow_until(tail_dominated,
                               start=max(2.0 * x0, X_level(T)),
@@ -548,7 +562,7 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
         X_prime = X + x0
     order_grid = np.linspace(-X, 10.0 * X_prime, 3000)
     order_margin = float(np.min(np.asarray(base_u0(order_grid - X))
-                                - np.asarray(evaluate(T, order_grid))))
+                                - evaluate(T, order_grid)))
 
     checks = _enforce("generalized subsolution", (
         Check("epsilon < r", r - eps, strict=True),
@@ -667,18 +681,15 @@ def growth_super(params: ModelParams, epsilon: float,
     bm1 = beta - 1.0
 
     def evaluate(t, x):
-        arr = np.asarray(x, dtype=float)
-        xa = np.atleast_1d(arr).astype(float)
-        tail = C_eff * np.maximum(xa, 1.0) ** (-a_eff)
-        u = np.where(xa <= x0_eff, 1.0, tail)
+        tail = C_eff * np.maximum(x, 1.0) ** (-a_eff)
+        u = np.where(x <= x0_eff, 1.0, tail)
         if beta == 1.0:
-            w = u * math.exp(rho * float(t))
+            w = u * np.exp(rho * t)
         else:
-            base = u ** (-bm1) - rho * bm1 * float(t)
+            base = u ** (-bm1) - rho * bm1 * t
             w = np.where(base > 0.0, base, 1.0) ** (-1.0 / bm1)
             w = np.where(base > 0.0, w, 2.0)  # past blow-up: clamp wins
-        out = np.minimum(1.0, w)
-        return float(out[0]) if arr.ndim == 0 else out
+        return np.minimum(1.0, w)
 
     def sampler(n_t: int = 6, n_x: int = 32):
         ts, xs = [], []
@@ -782,10 +793,8 @@ def constant_speed_super(params: ModelParams,
     shift = params.x0 - 1.0
 
     def evaluate(t, x):
-        arr = np.asarray(x, dtype=float)
-        z = np.atleast_1d(arr).astype(float) - shift - c * float(t)
-        out = np.where(z <= z0, 1.0, K / np.maximum(z, z0) ** p)
-        return float(out[0]) if arr.ndim == 0 else out
+        z = x - shift - c * t
+        return np.where(z <= z0, 1.0, K / np.maximum(z, z0) ** p)
 
     def sampler(n_t: int = 6, n_x: int = 40):
         ts, xs = [], []
@@ -832,10 +841,7 @@ def right_tail_spec(params: ModelParams, eps: float = 0.1,
     x0 = params.x0
 
     def evaluate(t, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.minimum(1.0, eps + np.exp(-mu * (arr - x0 - float(t))))
-        out = np.asarray(out)
-        return float(out) if out.ndim == 0 else out
+        return np.minimum(1.0, eps + np.exp(-mu * (x - x0 - t)))
 
     def sampler(n_t: int = 6, n_x: int = 40):
         xi_min = -math.log(1.0 - eps) / mu

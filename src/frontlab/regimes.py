@@ -70,7 +70,8 @@ NUMBER_FIELD = {Regime.EXPONENTIAL: "gamma", Regime.POLYNOMIAL: "exponent",
                 Regime.POLY_LOWER_ONLY: "exponent"}
 _DOMAIN_MESSAGES = ("m must be positive, got {m}",
                     "beta must be >= 1, got {beta}",
-                    "alpha must lie in (0, inf], got {alpha}")
+                    "alpha must lie in (0, inf] with a finite 1/alpha, "
+                    "got {alpha}")
 
 
 def gamma_effective(m: float, alpha: float) -> float:
@@ -88,7 +89,9 @@ def classify_row(m: float, alpha: float,
 
     Returns ``(codes, values)``, two arrays shaped like ``betas``: the kind
     code of each cell (see KINDS) and its gamma or exponent (NaN for a kind
-    without a number). The first matching condition below wins.
+    without a number). A cell is outside the domain unless m > 0, beta >= 1
+    and alpha lies in (0, inf] with a finite 1/alpha. The first matching
+    condition below wins.
 
     m >= 1: the only acceleration mechanism is the heavy tail itself, and
     the no-acceleration threshold max(1+1/alpha, 2-m) collapses to
@@ -107,7 +110,8 @@ def classify_row(m: float, alpha: float,
     if not m > 0:
         return np.full(betas.shape, _BAD_M), values
     in_domain = betas >= 1.0
-    if not alpha > 0:
+    # a subnormal alpha overflows 1/alpha, and with it gamma or the exponent
+    if not (alpha > 0 and 1.0 / float(alpha) < math.inf):
         return np.where(in_domain, _BAD_ALPHA, _BAD_BETA), values
     m, alpha = float(m), float(alpha)
     kpp = betas == 1.0

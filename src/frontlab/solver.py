@@ -31,6 +31,8 @@ __all__ = ["SolverConfig", "SolutionTrajectory", "ResidualReport", "step",
            "simulate", "discrete_residual"]
 
 _RIGHT = ("analytic-clamp", "zero-value", "zero-flux")
+# times no more than this apart are one time to the stepper
+_TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -236,11 +238,12 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     schedule = cfg.snapshots
     if not schedule:
         schedule = tuple(np.linspace(0.0, cfg.t_end, 11)[1:])
-    if schedule[0] <= 0.0 or any(b <= a for a, b in zip(schedule,
-                                                          schedule[1:])):
+    # from t = 0 on, so no snapshot repeats the one before it
+    if any(b - a <= _TIME_TOL for a, b in zip((0.0,) + schedule, schedule)):
         raise DomainError("snapshot schedule must be positive and strictly "
-                          "increasing")
-    if schedule[-1] > cfg.t_end + 1e-12:
+                          f"increasing, each time more than {_TIME_TOL:g} "
+                          "after the one before it")
+    if schedule[-1] > cfg.t_end + _TIME_TOL:
         raise DomainError("snapshot schedule exceeds t_end")
 
     vals0 = np.clip(np.asarray(u0(grid.x), dtype=float), 0.0, 1.0)
@@ -254,7 +257,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
 
     for target in schedule:
         prev_vals, last_dt = None, None
-        while fld.t < target - 1e-12:
+        while fld.t < target - _TIME_TOL:
             dt = min(cfg.dt, target - fld.t)
             prev_vals = fld.values
             fld = step(fld, dt, cfg, params)
@@ -285,21 +288,17 @@ def simulate(u0, grid: Grid, config: SolverConfig,
 def _pointwise_residual(candidate, params: ModelParams, ts: np.ndarray,
                         xs: np.ndarray, h_t: float, h_x: float,
                         reaction_free: bool) -> np.ndarray:
+    # one candidate call per stencil offset, on the aligned sample arrays
     m = params.m
-    out = np.empty(ts.size)
-    for t_val in np.unique(ts):
-        sel = ts == t_val
-        xv = xs[sel]
-        v0 = np.asarray(candidate(float(t_val), xv), dtype=float)
-        vp = np.asarray(candidate(float(t_val) + h_t, xv), dtype=float)
-        vm = np.asarray(candidate(float(t_val) - h_t, xv), dtype=float)
-        vl = np.asarray(candidate(float(t_val), xv - h_x), dtype=float)
-        vr = np.asarray(candidate(float(t_val), xv + h_x), dtype=float)
-        lap = (vr ** m - 2.0 * v0 ** m + vl ** m) / h_x ** 2
-        f_v = 0.0 if reaction_free else reaction_eval(
-            params, np.clip(v0, 0.0, 1.0))
-        out[sel] = (vp - vm) / (2.0 * h_t) - lap - f_v
-    return out
+    v0 = np.asarray(candidate(ts, xs), dtype=float)
+    vp = np.asarray(candidate(ts + h_t, xs), dtype=float)
+    vm = np.asarray(candidate(ts - h_t, xs), dtype=float)
+    vl = np.asarray(candidate(ts, xs - h_x), dtype=float)
+    vr = np.asarray(candidate(ts, xs + h_x), dtype=float)
+    lap = (vr ** m - 2.0 * v0 ** m + vl ** m) / h_x ** 2
+    f_v = 0.0 if reaction_free else reaction_eval(
+        params, np.clip(v0, 0.0, 1.0))
+    return (vp - vm) / (2.0 * h_t) - lap - f_v
 
 
 def _grid_residual(traj: SolutionTrajectory, candidate, params: ModelParams,
@@ -326,9 +325,13 @@ def discrete_residual(traj, candidate, params: ModelParams,
     """Residual d_t v - D^2(v^m) - f(v) of a candidate, with a refinement
     tolerance (4/3)|R(h) - R(h/2)| + 1e-8 estimated by halving the stencils.
 
-    With ``samples`` (arrays of t and x) the derivatives use local centered
-    stencils; otherwise the candidate is evaluated on the trajectory's
-    snapshot times and grid nodes with the grid's own second difference.
+    With ``samples`` (aligned arrays of t and x) the derivatives use local
+    centered stencils, and the candidate is called once per stencil offset
+    on whole arrays, (t, x), (t +- h_t, x) and (t, x +- h_x), so it must
+    take aligned t and x arrays: 10 calls for both step sizes, however many
+    distinct times the samples hold. Otherwise the candidate is evaluated
+    at each snapshot time (a number) on the trajectory's grid nodes, with
+    the grid's own second difference.
     """
     if reaction_free is None:
         reaction_free = bool(getattr(candidate, "reaction_free", False))

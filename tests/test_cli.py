@@ -186,12 +186,32 @@ def test_construct_prints_and_saves_the_description(tmp_path, capsys):
     doc = last_json(capsys)
     assert doc["kind"] == "pme-bump"
     assert doc["sign"] == -1
+    # the residual sign check ran on the sampler's 256 points
+    res = doc["residual"]
+    assert set(res) == {"max", "min", "mean", "tolerance", "n", "sign_ok"}
+    assert res["n"] == 256
+    assert res["min"] <= res["mean"] <= res["max"] <= res["tolerance"]
+    assert res["sign_ok"] is True
     saved = json.loads((tmp_path / "construct_pme-bump.json").read_text())
     assert saved == doc
     man = json.loads((tmp_path / "construct_manifest.json").read_text())
     assert man["subcommand"] == "construct"
     assert len(man["input_sha256"]) == 64
     assert any(p.endswith("construct_pme-bump.json") for p in man["outputs"])
+
+
+def test_construct_signs_a_supersolution_residual_from_below(tmp_path,
+                                                             capsys):
+    rc = main(["construct", "--kind", "right-tail", "--m", "2", "--alpha",
+               "2", "--beta", "1.25", "--json", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = last_json(capsys)
+    assert doc["sign"] == 1
+    res = doc["residual"]
+    # a supersolution needs min >= -tolerance; its maximum is unbounded
+    assert res["max"] > res["tolerance"]
+    assert res["min"] >= -res["tolerance"]
+    assert res["sign_ok"] is True
 
 
 # --- shoot / wave ----------------------------------------------------------------

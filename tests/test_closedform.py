@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from frontlab import closedform as cf
-from frontlab.errors import RegimeMismatch
+from frontlab.errors import BlowUp, RegimeMismatch
 from frontlab.model import ModelParams, initial_data_build
 
 
@@ -53,6 +53,20 @@ def test_growth_solution_hits_level_curve():
     bm1 = beta - 1.0
     w = (u0 ** -bm1 - rho * bm1 * t) ** (-1.0 / bm1)
     assert w == pytest.approx(theta, rel=1e-10)
+
+
+def test_blowup_with_array_times_reports_the_earliest_blowup():
+    rho, beta = 0.8, 1.25
+    datum = initial_data_build(1.0, 2.0, 2.0, 1.0)
+    g = cf.GrowthSolution(rho=rho, beta=beta, u0=datum)
+    x = np.array([3.0, 5.0, 9.0])
+    t_blow = [cf.blowup_time(float(datum(v)), rho, beta) for v in x]
+    # only the last point is past its own blow-up; the first blows up first
+    t = np.array([0.0, 0.0, 1.01 * t_blow[2]])
+    with pytest.raises(BlowUp) as exc:
+        cf.growth_eval(g, t, x)
+    assert exc.value.t_blow == pytest.approx(t_blow[0], rel=1e-12)
+    assert t_blow[0] == min(t_blow)
 
 
 # --- constructions at their home parameter sets -----------------------------
@@ -148,3 +162,27 @@ def test_describe_is_json_ready():
     json.dumps(doc)
     assert doc["sign"] == 1
     assert all(ch["margin"] >= 0.0 for ch in doc["checks"])
+
+
+# --- array evaluation -------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ac6_specs():
+    """The 11 certificates AC6 checks, in its order."""
+    return ([cf.pme_bump_params(PME, 0.1), cf.fde_sub_params(FDE, 0.1),
+             cf.appendix_sub_params(MIX, 0.1)]
+            + [cf.growth_super(p, 0.1) for p in (PME, FDE, MIX)]
+            + [cf.constant_speed_super(NOACC)]
+            + [cf.right_tail_spec(p) for p in (PME, FDE, NOACC, MIX)])
+
+
+@pytest.mark.parametrize("index", range(11))
+def test_array_evaluation_matches_one_point_calls_bit_for_bit(ac6_specs,
+                                                              index):
+    spec = ac6_specs[index]
+    ts, xs = spec.sampler()
+    got = spec(ts, xs)
+    want = np.array([spec(float(t), float(x)) for t, x in zip(ts, xs)])
+    assert got.shape == ts.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                  err_msg=spec.kind)

@@ -117,8 +117,9 @@ def oracle_classify(m, alpha, beta):
         raise DomainError(f"m must be positive, got {m}")
     if not beta >= 1:
         raise DomainError(f"beta must be >= 1, got {beta}")
-    if not alpha > 0:
-        raise DomainError(f"alpha must lie in (0, inf], got {alpha}")
+    if not (alpha > 0 and 1.0 / alpha < math.inf):
+        raise DomainError(
+            f"alpha must lie in (0, inf] with a finite 1/alpha, got {alpha}")
 
     if m >= 1:
         if beta == 1.0:
@@ -167,13 +168,15 @@ def oracle_classify(m, alpha, beta):
 @st.composite
 def rows(draw):
     """One (m, alpha) and a few betas: random values, values exactly on
-    every dividing curve, and values outside the domain. alpha stays at or
-    above 1e-3, where 1/(gamma (beta-1)) cannot underflow its denominator
-    to zero (the ladder would raise ZeroDivisionError there)."""
+    every dividing curve, and values outside the domain. A drawn alpha
+    stays at or above 1e-3, where 1/(gamma (beta-1)) cannot underflow its
+    denominator to zero (the ladder would raise ZeroDivisionError there);
+    the subnormal 1e-310 is outside the domain, since 1/alpha overflows."""
     nan, inf = math.nan, math.inf
     m = draw(st.one_of(st.floats(0.01, 4.0),
                        st.sampled_from([0.5, 1.0, 2.0, 0.0, -0.5, nan])))
-    alphas = [st.floats(1e-3, 1e3), st.sampled_from([inf, 0.0, -1.0, nan])]
+    alphas = [st.floats(1e-3, 1e3),
+              st.sampled_from([inf, 0.0, -1.0, nan, 1e-310])]
     if 0 < m < 1:  # the critical alpha, and the one where b1 = b2 = b3
         alphas.append(st.sampled_from([2.0 / (1.0 - m), 1.0 / (1.0 - m)]))
     alpha = draw(st.one_of(alphas))
@@ -218,6 +221,16 @@ def test_classify_row_matches_the_scalar_ladder(row):
         assert got == want
         assert (_bits(got.gamma), _bits(got.exponent)) == (
             _bits(want.gamma), _bits(want.exponent))
+
+
+@pytest.mark.parametrize("m,beta", [(2.0, 1.0), (0.5, 1.5), (0.5, 1.0)])
+def test_alpha_with_an_overflowing_reciprocal_is_a_domain_error(m, beta):
+    # 1/alpha overflows: gamma or the exponent would come out infinite
+    with pytest.raises(DomainError, match="finite 1/alpha"):
+        classify(m, 1e-310, beta)
+    codes, values = classify_row(m, 1e-310, np.array([beta, 0.5]))
+    assert [KINDS[c] for c in codes.tolist()] == [None, None]
+    assert np.isnan(values).all()
 
 
 # --- partition / consistency properties -----------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from frontlab import solver as solver_module
+from frontlab.closedform import pme_bump_params
 from frontlab.errors import (
     DomainError,
     DomainExhausted,
@@ -271,7 +272,10 @@ def test_snapshot_schedule_is_validated():
     p = make_params(2.0, 2.0, 1.25)
     grid = grid_build("uniform", -5.0, 60.0, 100)
     u0 = initial_data_build(1.0, 2.0, 2.0, 1.0)
-    for snaps in [(-1.0,), (2.0, 1.0), (99.0,), (0.5, 0.5, 1.0)]:
+    # a time no more than 1e-12 after the one before it (t = 0 first)
+    # would record the same field twice
+    for snaps in [(-1.0,), (2.0, 1.0), (99.0,), (0.5, 0.5, 1.0),
+                  (0.5, 0.5 + 1e-13, 1.0), (1e-13, 1.0)]:
         cfg = SolverConfig(dt=1e-2, t_end=3.0, snapshots=snaps)
         with pytest.raises(DomainError):
             simulate(u0, grid, cfg, p)
@@ -396,6 +400,23 @@ def test_grid_residual_converges_at_second_order():
         prev, n, q = grid, 2 * n, math.sqrt(q)
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_sampled_residual_calls_the_candidate_once_per_stencil_offset():
+    p = make_params(2.0, 2.0, 1.25)
+    spec = pme_bump_params(p, 0.1)
+    ts, xs = spec.sampler()
+    calls = []
+
+    def counting(t, x):
+        calls.append(np.shape(t))
+        return spec(t, x)
+
+    rep = discrete_residual(None, counting, p, samples=(ts, xs))
+    assert np.unique(ts).size > 200
+    # five offsets, (t, x), (t +- h_t, x), (t, x +- h_x), at two step sizes
+    assert calls == [ts.shape] * 10
+    assert rep == discrete_residual(None, spec, p, samples=(ts, xs))
 
 
 def test_residual_samples_must_align():
