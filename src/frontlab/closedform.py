@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .regimes import Regime, classify, gamma_effective
 
 __all__ = [
     "GrowthSolution", "SubsolutionSpec", "Check",
-    "growth_eval", "blowup_time", "blowup_time_tail", "level_curve",
+    "growth_eval", "blowup_time", "level_curve",
     "pme_bump_params", "fde_sub_params", "appendix_sub_params",
     "growth_super", "constant_speed_super", "right_tail_spec", "describe",
 ]
@@ -131,6 +131,35 @@ def _rho_midpoint(r: float, eps: float, beta: float, eta: float) -> float:
     return 0.5 * (lo + r)
 
 
+def _rho_checks(r: float, eps: float, beta: float, eta: float,
+                rho: float) -> tuple:
+    return (Check("rho above max(r beta/(1+eta), r-eps)",
+                  rho - max(r * beta / (1.0 + eta), r - eps), strict=True),
+            Check("rho < r", r - rho, strict=True))
+
+
+def _plateau_A(kappa: float, eta: float, s0: float) -> float:
+    # twice the largest of the three lower bounds on A of a plateau cut
+    return 2.0 * max(1.0, 1.0 / (kappa ** eta * (1.0 + eta)),
+                     (eta / (s0 * (1.0 + eta))) ** eta / (1.0 + eta))
+
+
+def _enlarge_tail(ok, C: float, x0: float, a: float, onset_margin: float,
+                  critical: bool, message: str) -> tuple:
+    # keep the datum onset C/x0^a below 1: x0 moves to 2 C^(1/a) unless the
+    # onset lies below onset_margin^a already. Then double x0 (and C on a
+    # critical curve, where the x0-exponents vanish) until ok(C, x0).
+    if C ** (1.0 / a) >= onset_margin * x0:
+        x0 = 2.0 * C ** (1.0 / a)
+    for _ in range(200):
+        if ok(C, x0):
+            return C, x0
+        x0 *= 2.0
+        if critical:
+            C *= 2.0
+    raise InfeasibleSelection(message)
+
+
 # ---------------------------------------------------------------------------
 # growth solutions and level curves
 
@@ -167,14 +196,6 @@ def blowup_time(u0_val: float, rho: float, beta: float) -> float:
     return 1.0 / (rho * (beta - 1.0) * u0_val ** (beta - 1.0))
 
 
-def blowup_time_tail(x: float, C: float, alpha: float, beta: float,
-                     rho: float) -> float:
-    """Blow-up time of the tail datum C/x^alpha: x^(a(b-1))/(rho(b-1)C^(b-1))."""
-    if not beta > 1.0:
-        raise DomainError("blow-up time requires beta > 1")
-    return x ** (alpha * (beta - 1.0)) / (rho * (beta - 1.0) * C ** (beta - 1.0))
-
-
 def level_curve(theta: float, t, C: float, alpha: float, beta: float,
                 rho: float):
     """The abscissa y_theta(t) where the tail-datum growth solution equals theta."""
@@ -209,17 +230,13 @@ def _time_to_reach(u_from: float, w_to: float, rho: float, beta: float) -> float
 # ---------------------------------------------------------------------------
 # accelerating bump subsolution (slow diffusion, m > 1)
 
-def pme_bump_params(params: ModelParams, epsilon: float,
-                    u0: Optional[InitialData] = None,
-                    eta: Optional[float] = None, rho: Optional[float] = None,
-                    x1: Optional[float] = None,
-                    A: Optional[float] = None) -> SubsolutionSpec:
+def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     """Resolve the bump subsolution max(0, w - A w^(1+eta)) for m > 1.
 
     Free constants are selected deterministically (eta = 1.5*max(beta-1,1),
     rho at its interval midpoint, x1 by doubling-and-bisection on the two
-    tail estimates, A at twice its lower bound) unless supplied; all
-    defining inequalities are re-verified either way.
+    tail estimates, A at twice its lower bound); all defining inequalities
+    are then re-verified.
     """
     m, alpha, beta = params.m, params.alpha, params.beta
     r = params.r
@@ -231,15 +248,10 @@ def pme_bump_params(params: ModelParams, epsilon: float,
     if not 0.0 < eps < r:
         raise InfeasibleSelection(
             "bump subsolution: need 0 < epsilon < r (empty rho interval)")
-    if u0 is None:
-        u0 = initial_data_build(params.C, alpha, params.x0, plateau=1.0)
+    u0 = initial_data_build(params.C, alpha, params.x0, plateau=1.0)
     C = u0.C
-    if eta is None:
-        eta = 1.5 * max(beta - 1.0, 1.0)
-    eta = float(eta)
-    if rho is None:
-        rho = _rho_midpoint(r, eps, beta, eta)
-    rho = float(rho)
+    eta = 1.5 * max(beta - 1.0, 1.0)
+    rho = _rho_midpoint(r, eps, beta, eta)
 
     ab1 = alpha * (beta - 1.0)  # < 1 in this regime
 
@@ -252,26 +264,20 @@ def pme_bump_params(params: ModelParams, epsilon: float,
 
     rhs_slope = r - rho
     rhs_curv = rho - r * beta / (1.0 + eta)
-    if x1 is None:
-        if min(rhs_slope, rhs_curv) <= 0.0:
-            raise InfeasibleSelection("bump subsolution: rho interval violated")
-        x1 = _grow_until(
-            lambda x: slope_term(x) <= rhs_slope and curv_term(x) <= rhs_curv,
-            start=2.0 * u0.x0, label="the tail slope/curvature estimates")
-    x1 = float(x1)
+    if min(rhs_slope, rhs_curv) <= 0.0:
+        raise InfeasibleSelection("bump subsolution: rho interval violated")
+    x1 = _grow_until(
+        lambda x: slope_term(x) <= rhs_slope and curv_term(x) <= rhs_curv,
+        start=2.0 * u0.x0, label="the tail slope/curvature estimates")
     kappa = min(u0.plateau, float(u0(x1)))
-    if A is None:
-        A = 2.0 * max(kappa ** (-eta),
-                      (eta / (params.s0 * (1.0 + eta))) ** eta / (1.0 + eta))
-    A = float(A)
+    A = 2.0 * max(kappa ** (-eta),
+                  (eta / (params.s0 * (1.0 + eta))) ** eta / (1.0 + eta))
     bump_max = (eta / (1.0 + eta)) * (A * (1.0 + eta)) ** (-1.0 / eta)
 
     checks = _enforce("bump subsolution", (
         Check("epsilon < r", r - eps, strict=True),
         Check("beta < 1 + eta", 1.0 + eta - beta, strict=True),
-        Check("rho above max(r beta/(1+eta), r-eps)",
-              rho - max(r * beta / (1.0 + eta), r - eps), strict=True),
-        Check("rho < r", r - rho, strict=True),
+        *_rho_checks(r, eps, beta, eta, rho),
         Check("x1 beyond the tail onset", x1 - u0.x0, strict=True),
         Check("m|phi'| <= r - rho on [x1, inf)", rhs_slope - slope_term(x1)),
         Check("m|phi'| + m(2m+beta+eta-1)phi^2 <= rho - r beta/(1+eta)",
@@ -287,13 +293,13 @@ def pme_bump_params(params: ModelParams, epsilon: float,
         w = growth_eval(growth, t, x)
         return np.maximum(0.0, w - A * w ** (1.0 + eta))
 
-    def sampler(n_t: int = 8, n_x: int = 32):
+    def sampler():
         x_lo = max((C / (0.45 * cut)) ** (1.0 / alpha), 1.1 * x1)
         ts, xs = [], []
-        for x in np.geomspace(x_lo, 3.0 * x_lo, n_x):
+        for x in np.geomspace(x_lo, 3.0 * x_lo, 32):
             u_here = C / x ** alpha
             t_hi = _time_to_reach(u_here, 0.9 * cut, rho, beta)
-            tt = np.linspace(0.01, max(t_hi, 0.02), n_t)
+            tt = np.linspace(0.01, max(t_hi, 0.02), 8)
             ts.append(tt)
             xs.append(np.full_like(tt, x))
         return np.concatenate(ts), np.concatenate(xs)
@@ -309,9 +315,9 @@ def pme_bump_params(params: ModelParams, epsilon: float,
 # ---------------------------------------------------------------------------
 # accelerating plateau-cut subsolution (fast diffusion)
 
-def _plateau_cut_spec(kind: str, datum: InitialData, tail_C: float,
-                      tail_exp: float, beta: float, rho: float, eta: float,
-                      A: float, t_floor: float) -> tuple:
+def _plateau_cut_spec(datum: InitialData, tail_C: float, tail_exp: float,
+                      beta: float, rho: float, eta: float, A: float,
+                      t_floor: float) -> tuple:
     # shared machinery for the two plateau-cut constructions: the junction
     # X(t) sits at the maximizer of w -> w(1 - A w^eta)
     theta_star = (A * (1.0 + eta)) ** (-1.0 / eta)
@@ -331,24 +337,21 @@ def _plateau_cut_spec(kind: str, datum: InitialData, tail_C: float,
             out[mask] = w * (1.0 - A * w ** eta)
         return out
 
-    def sampler(n_t: int = 6, n_x: int = 32):
+    def sampler():
         ts, xs = [], []
-        for t in np.linspace(t_floor + 0.5, t_floor + 4.0, n_t):
+        for t in np.linspace(t_floor + 0.5, t_floor + 4.0, 6):
             Xt = X_of_t(t)
-            x_flat = np.linspace(0.4 * Xt, 0.93 * Xt, max(4, n_x // 4))
-            x_tail = np.geomspace(1.07 * Xt, 6.0 * Xt, n_x)
+            x_flat = np.linspace(0.4 * Xt, 0.93 * Xt, 8)
+            x_tail = np.geomspace(1.07 * Xt, 6.0 * Xt, 32)
             both = np.concatenate([x_flat, x_tail])
             ts.append(np.full_like(both, t))
             xs.append(both)
         return np.concatenate(ts), np.concatenate(xs)
 
-    return theta_star, plateau_val, X_of_t, evaluate, sampler
+    return theta_star, plateau_val, evaluate, sampler
 
 
-def fde_sub_params(params: ModelParams, epsilon: float,
-                   eta: Optional[float] = None, rho: Optional[float] = None,
-                   A: Optional[float] = None, x0: Optional[float] = None,
-                   C: Optional[float] = None) -> SubsolutionSpec:
+def fde_sub_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     """Resolve the plateau-cut subsolution for fast diffusion.
 
     The datum has the effective tail exponent gamma = min(alpha, 2/(1-m));
@@ -369,12 +372,8 @@ def fde_sub_params(params: ModelParams, epsilon: float,
     if not 0.0 < eps < r:
         raise InfeasibleSelection(
             "plateau-cut subsolution: need 0 < epsilon < r")
-    if eta is None:
-        eta = max(beta - 1.0, 1.0) + 0.5
-    eta = float(eta)
-    if rho is None:
-        rho = _rho_midpoint(r, eps, beta, eta)
-    rho = float(rho)
+    eta = max(beta - 1.0, 1.0) + 0.5
+    rho = _rho_midpoint(r, eps, beta, eta)
 
     theta_coef = 2.0 * m + beta + eta - 1.0 + (1.0 - m) * 2.0 * eta / (1.0 + eta)
     pow_x = 2.0 + (m - beta) * gamma          # >= 0 in this regime
@@ -406,38 +405,21 @@ def fde_sub_params(params: ModelParams, epsilon: float,
         return (lhs1(Cv, xv) <= rhs1 and lhs2(Cv, xv) <= rhs23
                 and lhs3(Cv, xv) <= rhs23)
 
-    C_eff = params.C if C is None else float(C)
-    x0_eff = params.x0 if x0 is None else float(x0)
-    if x0 is None:
-        # keep the datum onset below 1, then enlarge
-        if C_eff ** (1.0 / gamma) >= x0_eff:
-            x0_eff = 2.0 * C_eff ** (1.0 / gamma)
-        for _ in range(200):
-            if tails_ok(C_eff, x0_eff):
-                break
-            x0_eff *= 2.0
-            if critical:
-                C_eff *= 2.0
-        else:
-            raise InfeasibleSelection(
-                "plateau-cut subsolution: tail estimates never satisfied")
+    C_eff, x0_eff = _enlarge_tail(
+        tails_ok, params.C, params.x0, gamma, 1.0, critical,
+        "plateau-cut subsolution: tail estimates never satisfied")
 
     datum = initial_data_build(C_eff, gamma, x0_eff, plateau=1.0)
     kappa = min(datum.plateau, float(datum(x0_eff)))
-    if A is None:
-        A = 2.0 * max(1.0, 1.0 / (kappa ** eta * (1.0 + eta)),
-                      (eta / (params.s0 * (1.0 + eta))) ** eta / (1.0 + eta))
-    A = float(A)
-    theta_star, plateau_val, X_of_t, evaluate, sampler = _plateau_cut_spec(
-        "fde-plateau", datum, C_eff, gamma, beta, rho, eta, A, t_floor=0.0)
+    A = _plateau_A(kappa, eta, params.s0)
+    theta_star, plateau_val, evaluate, sampler = _plateau_cut_spec(
+        datum, C_eff, gamma, beta, rho, eta, A, t_floor=0.0)
 
     checks = _enforce("plateau-cut subsolution", (
         Check("epsilon < r", r - eps, strict=True),
         Check("eta > beta - 1", eta - (beta - 1.0), strict=True),
         Check("eta > 1", eta - 1.0, strict=True),
-        Check("rho above max(r beta/(1+eta), r-eps)",
-              rho - max(r * beta / (1.0 + eta), r - eps), strict=True),
-        Check("rho < r", r - rho, strict=True),
+        *_rho_checks(r, eps, beta, eta, rho),
         Check("first tail estimate at x0", rhs1 - lhs1(C_eff, x0_eff)),
         Check("second tail estimate at x0", rhs23 - lhs2(C_eff, x0_eff)),
         Check("third tail estimate at x0", rhs23 - lhs3(C_eff, x0_eff)),
@@ -460,13 +442,8 @@ def fde_sub_params(params: ModelParams, epsilon: float,
 # ---------------------------------------------------------------------------
 # generalized plateau-cut subsolution (fast diffusion, strong Allee effect)
 
-def appendix_sub_params(params: ModelParams, epsilon: float,
-                        eta: Optional[float] = None,
-                        rho: Optional[float] = None,
-                        A: Optional[float] = None,
-                        delta: Optional[float] = None,
-                        T: Optional[float] = None,
-                        X: Optional[float] = None) -> SubsolutionSpec:
+def appendix_sub_params(params: ModelParams,
+                        epsilon: float) -> SubsolutionSpec:
     """Resolve the generalized plateau-cut subsolution (eta > beta+2 regime).
 
     Built on the scaled datum ((C-eps)/C)*u0; valid for t >= T. The shift X
@@ -487,12 +464,8 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
     if not eps < C:
         raise InfeasibleSelection(
             "generalized subsolution: need epsilon < C (scaled datum)")
-    if eta is None:
-        eta = beta + 2.5
-    eta = float(eta)
-    if rho is None:
-        rho = _rho_midpoint(r, eps, beta, eta)
-    rho = float(rho)
+    eta = beta + 2.5
+    rho = _rho_midpoint(r, eps, beta, eta)
 
     Ce = C - eps
     x0 = params.x0
@@ -500,10 +473,7 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
     datum = initial_data_build(Ce, alpha, x0, plateau=1.0)
     base_u0 = initial_data_build(C, alpha, x0, plateau=1.0)
     kappa = min(datum.plateau, float(datum(x0)))
-    if A is None:
-        A = 2.0 * max(1.0, 1.0 / (kappa ** eta * (1.0 + eta)),
-                      (eta / (params.s0 * (1.0 + eta))) ** eta / (1.0 + eta))
-    A = float(A)
+    A = _plateau_A(kappa, eta, params.s0)
     theta_star = (A * (1.0 + eta)) ** (-1.0 / eta)
 
     def delta2_lhs(d):
@@ -512,11 +482,9 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
                     + (1.0 - m) * A * eta ** 2 * d ** eta
                     / (1.0 - A * d ** eta))
 
-    if delta is None:
-        delta = _shrink_until(
-            lambda d: delta2_lhs(d) < m + beta - 1.0,
-            start=0.5 * theta_star, label="the small-w curvature condition")
-    delta = float(delta)
+    delta = _shrink_until(
+        lambda d: delta2_lhs(d) < m + beta - 1.0,
+        start=0.5 * theta_star, label="the small-w curvature condition")
 
     # time threshold: the tail-slope estimate must hold for all x >= X(T)
     phi_pow2 = 2.0 * (alpha + 1.0 - alpha * beta)   # > 0 here
@@ -539,27 +507,21 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
     def X_level(t):
         return level_curve(theta_star, t, Ce, alpha, beta, rho)
 
-    if T is None:
-        T = _grow_until(lambda t: slope_lhs(X_level(t)) <= rhs_T,
-                        start=1.0, label="the tail-slope time threshold")
-    T = float(T)
+    T = _grow_until(lambda t: slope_lhs(X_level(t)) <= rhs_T,
+                    start=1.0, label="the tail-slope time threshold")
 
-    _, plateau_val, X_of_t, evaluate, sampler = _plateau_cut_spec(
-        "appendix", datum, Ce, alpha, beta, rho, eta, A, t_floor=T)
+    _, plateau_val, evaluate, sampler = _plateau_cut_spec(
+        datum, Ce, alpha, beta, rho, eta, A, t_floor=T)
 
     # spatial shift: u0(. - X) >= v(T, .)
-    if X is None:
-        def tail_dominated(xp):
-            grid = np.geomspace(xp, 100.0 * xp, 160)
-            v_vals = evaluate(T, grid)
-            return bool(np.all(v_vals * grid ** alpha <= C))
-        X_prime = _grow_until(tail_dominated,
-                              start=max(2.0 * x0, X_level(T)),
-                              label="the tail domination abscissa")
-        X = X_prime - x0
-    else:
-        X = float(X)
-        X_prime = X + x0
+    def tail_dominated(xp):
+        grid = np.geomspace(xp, 100.0 * xp, 160)
+        v_vals = evaluate(T, grid)
+        return bool(np.all(v_vals * grid ** alpha <= C))
+
+    X_prime = _grow_until(tail_dominated, start=max(2.0 * x0, X_level(T)),
+                          label="the tail domination abscissa")
+    X = X_prime - x0
     order_grid = np.linspace(-X, 10.0 * X_prime, 3000)
     order_margin = float(np.min(np.asarray(base_u0(order_grid - X))
                                 - evaluate(T, order_grid)))
@@ -568,9 +530,7 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
         Check("epsilon < r", r - eps, strict=True),
         Check("epsilon < C", C - eps, strict=True),
         Check("eta > beta + 2", eta - (beta + 2.0), strict=True),
-        Check("rho above max(r beta/(1+eta), r-eps)",
-              rho - max(r * beta / (1.0 + eta), r - eps), strict=True),
-        Check("rho < r", r - rho, strict=True),
+        *_rho_checks(r, eps, beta, eta, rho),
         Check("A > 1", A - 1.0, strict=True),
         Check("A kappa^eta (1+eta) > 1",
               A * kappa ** eta * (1.0 + eta) - 1.0, strict=True),
@@ -595,9 +555,7 @@ def appendix_sub_params(params: ModelParams, epsilon: float,
 # ---------------------------------------------------------------------------
 # clamped growth supersolution
 
-def growth_super(params: ModelParams, epsilon: float,
-                 x0: Optional[float] = None,
-                 C: Optional[float] = None) -> SubsolutionSpec:
+def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     """Resolve the supersolution min(1, w) with rho = r_bar + eps/2.
 
     w grows pointwise from the dominating datum 1 for x <= x0 and
@@ -628,9 +586,6 @@ def growth_super(params: ModelParams, epsilon: float,
         a_eff = gamma_effective(m, alpha)
         critical = (beta == 1.0 and alpha > 2.0 / (1.0 - m))
 
-    C_eff = params.C_bar if C is None else float(C)
-    x0_eff = params.x0 if x0 is None else float(x0)
-
     if m >= 1.0:
         ab1 = alpha * (beta - 1.0)
 
@@ -657,19 +612,10 @@ def growth_super(params: ModelParams, epsilon: float,
 
         rhs = 0.25 * eps
 
-    if x0 is None:
-        if C_eff ** (1.0 / a_eff) >= 0.99 * x0_eff:
-            x0_eff = 2.0 * C_eff ** (1.0 / a_eff)
-        for _ in range(200):
-            if tail_lhs(C_eff, x0_eff) <= rhs:
-                break
-            x0_eff *= 2.0
-            if critical:
-                C_eff *= 2.0
-        else:
-            raise InfeasibleSelection(
-                "clamped growth: tail curvature bound never satisfied")
-
+    C_eff, x0_eff = _enlarge_tail(
+        lambda Cv, xv: tail_lhs(Cv, xv) <= rhs, params.C_bar, params.x0,
+        a_eff, 0.99, critical,
+        "clamped growth: tail curvature bound never satisfied")
     onset = C_eff / x0_eff ** a_eff
 
     checks = _enforce("clamped growth supersolution", (
@@ -691,17 +637,17 @@ def growth_super(params: ModelParams, epsilon: float,
             w = np.where(base > 0.0, w, 2.0)  # past blow-up: clamp wins
         return np.minimum(1.0, w)
 
-    def sampler(n_t: int = 6, n_x: int = 32):
+    def sampler():
         ts, xs = [], []
         theta = min(0.9, 0.9 * onset)
-        for t in np.linspace(0.5, 5.0, n_t):
+        for t in np.linspace(0.5, 5.0, 6):
             lead = level_curve(theta, t, C_eff, a_eff, beta, rho)
             x_here = np.geomspace(max(1.05 * x0_eff, lead),
-                                  6.0 * max(1.05 * x0_eff, lead), n_x)
+                                  6.0 * max(1.05 * x0_eff, lead), 32)
             ts.append(np.full_like(x_here, t))
             xs.append(x_here)
         # the clamped plateau behind the onset stays pinned at 1
-        x_flat = np.linspace(0.2 * x0_eff, 0.9 * x0_eff, max(4, n_x // 4))
+        x_flat = np.linspace(0.2 * x0_eff, 0.9 * x0_eff, 8)
         ts.append(np.full_like(x_flat, 0.5))
         xs.append(x_flat)
         return np.concatenate(ts), np.concatenate(xs)
@@ -717,8 +663,7 @@ def growth_super(params: ModelParams, epsilon: float,
 # ---------------------------------------------------------------------------
 # constant-speed power-tail supersolution (no-acceleration regime)
 
-def constant_speed_super(params: ModelParams,
-                         c: Optional[float] = None) -> SubsolutionSpec:
+def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
     """Resolve the traveling supersolution min(1, K/z^p), z = x - shift - c t.
 
     p = 1/(beta-1), K = max(1, C_bar). The speed c is doubled from twice
@@ -755,23 +700,15 @@ def constant_speed_super(params: ModelParams,
         return (num / z0 ** (mp + 2.0) - cv * K * p / z2v ** (p + 1.0)
                 + sup_f <= 0.0)
 
-    if c is None:
-        c = 2.0 * base
-        for _ in range(80):
-            z2 = z_far(c)
-            if z2 is not None and compact_ok(c, z2):
-                break
-            c *= 2.0
-        else:
-            raise InfeasibleSelection(
-                "constant-speed supersolution: no speed satisfies both bounds")
-    else:
-        c = float(c)
+    c = 2.0 * base
+    for _ in range(80):
         z2 = z_far(c)
-        if z2 is None:
-            raise InfeasibleSelection(
-                "constant-speed supersolution: speed below the base bound")
-    z2 = z_far(c)
+        if z2 is not None and compact_ok(c, z2):
+            break
+        c *= 2.0
+    else:
+        raise InfeasibleSelection(
+            "constant-speed supersolution: no speed satisfies both bounds")
 
     # true residual (w^m)'' + c w' + f(w) on the advertised z-grid
     zg = np.geomspace(z0, 10.0 * z2, 2000)
@@ -796,10 +733,10 @@ def constant_speed_super(params: ModelParams,
         z = x - shift - c * t
         return np.where(z <= z0, 1.0, K / np.maximum(z, z0) ** p)
 
-    def sampler(n_t: int = 6, n_x: int = 40):
+    def sampler():
         ts, xs = [], []
-        for t in np.linspace(0.5, 5.0, n_t):
-            z = np.geomspace(1.1 * z0, 10.0 * z2, n_x)
+        for t in np.linspace(0.5, 5.0, 6):
+            z = np.geomspace(1.1 * z0, 10.0 * z2, 40)
             ts.append(np.full_like(z, t))
             xs.append(z + shift + c * t)
         return np.concatenate(ts), np.concatenate(xs)
@@ -821,18 +758,14 @@ def _right_tail_positivity(eps: float, mu: float, m: float) -> float:
     return float(h.min())
 
 
-def right_tail_spec(params: ModelParams, eps: float = 0.1,
-                    mu: Optional[float] = None) -> SubsolutionSpec:
+def right_tail_spec(params: ModelParams, eps: float = 0.1) -> SubsolutionSpec:
     """Package the right-tail supersolution with a certified rate mu."""
     m = params.m
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0,1)")
-    if mu is None:
-        mu = _shrink_until(
-            lambda v: _right_tail_positivity(eps, v, m) >= 1e-9,
-            start=1.0, label="the right-tail positivity condition")
-    mu = float(mu)
+    mu = _shrink_until(lambda v: _right_tail_positivity(eps, v, m) >= 1e-9,
+                       start=1.0, label="the right-tail positivity condition")
     margin = _right_tail_positivity(eps, mu, m)
     checks = _enforce("right-tail supersolution", (
         Check("eps in (0,1)", min(eps, 1.0 - eps), strict=True),
@@ -843,11 +776,11 @@ def right_tail_spec(params: ModelParams, eps: float = 0.1,
     def evaluate(t, x):
         return np.minimum(1.0, eps + np.exp(-mu * (x - x0 - t)))
 
-    def sampler(n_t: int = 6, n_x: int = 40):
+    def sampler():
         xi_min = -math.log(1.0 - eps) / mu
         ts, xs = [], []
-        for t in np.linspace(0.5, 3.0, n_t):
-            xi = np.linspace(1.5 * xi_min + 0.5, xi_min + 20.0 / mu, n_x)
+        for t in np.linspace(0.5, 3.0, 6):
+            xi = np.linspace(1.5 * xi_min + 0.5, xi_min + 20.0 / mu, 40)
             ts.append(np.full_like(xi, t))
             xs.append(x0 + t + xi)
         return np.concatenate(ts), np.concatenate(xs)

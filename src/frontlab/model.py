@@ -69,11 +69,6 @@ class ModelParams:
         if not self.x0 > 1:
             raise DomainError(f"x0 must be > 1, got {self.x0}")
 
-    @property
-    def heavy_tail(self) -> bool:
-        """True when alpha is finite (algebraic tail drives the envelopes)."""
-        return math.isfinite(self.alpha)
-
 
 @dataclass(frozen=True)
 class ReactionFn:
@@ -319,14 +314,6 @@ class Grid:
             raise DomainError("grid nodes must be strictly increasing")
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
-
-    @property
-    def n_cells(self) -> int:
-        return self.x.size - 1
-
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.x)
 
     @functools.cached_property
     def stencil(self) -> Stencil:

@@ -48,11 +48,12 @@ class RegimeKind:
 
 # Kind codes of classify_row: KINDS[code] is the cell's kind with its
 # number left out, and NUMBER_FIELD names the field the cell's value fills
-# for the kinds that carry one. The last three codes mark a cell outside the
-# domain, one per check in the order m, beta, alpha; KINDS holds None there.
+# for the kinds that carry one. The last four codes mark a cell outside the
+# domain, one per check in the order m, beta, alpha, exponent; KINDS holds
+# None there.
 (_NOACC, _INFSPEED, _EXPONENTIAL, _POLYNOMIAL, _LOWER_ONLY, _EDGE_ALPHA,
  _EDGE_SATURATION, _EDGE_2_M, _EDGE_GAMMA, _EDGE_M_GAMMA, _BAD_M, _BAD_BETA,
- _BAD_ALPHA) = range(13)
+ _BAD_ALPHA, _BAD_EXPONENT) = range(14)
 KINDS = (
     RegimeKind(Regime.NO_ACCELERATION),
     RegimeKind(Regime.INFINITE_SPEED),
@@ -64,14 +65,16 @@ KINDS = (
     RegimeKind(Regime.BOUNDARY, label="beta=2-m"),
     RegimeKind(Regime.BOUNDARY, label="beta=1+1/gamma"),
     RegimeKind(Regime.BOUNDARY, label="beta=m+2/gamma"),
-    None, None, None,
+    None, None, None, None,
 )
 NUMBER_FIELD = {Regime.EXPONENTIAL: "gamma", Regime.POLYNOMIAL: "exponent",
                 Regime.POLY_LOWER_ONLY: "exponent"}
 _DOMAIN_MESSAGES = ("m must be positive, got {m}",
                     "beta must be >= 1, got {beta}",
                     "alpha must lie in (0, inf] with a finite 1/alpha, "
-                    "got {alpha}")
+                    "got {alpha}",
+                    "the exponent 1/(gamma (beta-1)) overflows at "
+                    "alpha={alpha}, beta={beta}")
 
 
 def gamma_effective(m: float, alpha: float) -> float:
@@ -90,8 +93,9 @@ def classify_row(m: float, alpha: float,
     Returns ``(codes, values)``, two arrays shaped like ``betas``: the kind
     code of each cell (see KINDS) and its gamma or exponent (NaN for a kind
     without a number). A cell is outside the domain unless m > 0, beta >= 1
-    and alpha lies in (0, inf] with a finite 1/alpha. The first matching
-    condition below wins.
+    and alpha lies in (0, inf] with a finite 1/alpha; a polynomial cell
+    whose exponent 1/(gamma (beta-1)) overflows is outside it too. The first
+    matching condition below wins.
 
     m >= 1: the only acceleration mechanism is the heavy tail itself, and
     the no-acceleration threshold max(1+1/alpha, 2-m) collapses to
@@ -147,10 +151,12 @@ def classify_row(m: float, alpha: float,
     codes[~in_domain] = _BAD_BETA
     values[codes == _EXPONENTIAL] = rate
     poly = (codes == _POLYNOMIAL) | (codes == _LOWER_ONLY)
-    # a tiny alpha can overflow 1/(gamma (beta-1)) to inf, as Python float
-    # arithmetic does without a warning
+    # a tiny alpha with beta near 1 overflows 1/(gamma (beta-1)) to inf
     with np.errstate(divide="ignore", over="ignore"):
         values[poly] = 1.0 / (gamma * (betas[poly] - 1.0))
+    overflow = np.isinf(values)
+    codes[overflow] = _BAD_EXPONENT
+    values[overflow] = np.nan
     return codes, values
 
 

@@ -200,6 +200,24 @@ def test_construct_prints_and_saves_the_description(tmp_path, capsys):
     assert any(p.endswith("construct_pme-bump.json") for p in man["outputs"])
 
 
+@pytest.mark.parametrize("kind,m,alpha,beta", [
+    ("pme-bump", "2", "2", "1.25"),
+    ("fde-sub", "0.5", "8", "1"),
+    ("appendix-sub", "0.5", "3", "1.2"),
+    ("growth-super", "0.5", "3", "1.2"),
+    ("const-super", "2", "1", "2.5"),
+    ("right-tail", "0.5", "8", "1"),
+])
+def test_construct_certifies_each_kind_at_its_home_parameters(
+        tmp_path, capsys, kind, m, alpha, beta):
+    rc = main(["construct", "--kind", kind, "--m", m, "--alpha", alpha,
+               "--beta", beta, "--json", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = last_json(capsys)
+    assert doc["residual"]["sign_ok"] is True
+    assert json.loads((tmp_path / f"construct_{kind}.json").read_text()) == doc
+
+
 def test_construct_signs_a_supersolution_residual_from_below(tmp_path,
                                                              capsys):
     rc = main(["construct", "--kind", "right-tail", "--m", "2", "--alpha",

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -36,13 +38,6 @@ def test_blowup_time_matches_quadrature():
     for u0, rho, beta in [(0.5, 1.0, 2.0), (0.1, 0.7, 1.5), (0.9, 2.0, 3.0)]:
         exact, _ = quad(lambda u: 1.0 / (rho * u ** beta), u0, np.inf)
         assert cf.blowup_time(u0, rho, beta) == pytest.approx(exact, rel=1e-10)
-
-
-def test_blowup_time_from_tail_value():
-    x, C, alpha, beta, rho = 7.0, 1.0, 2.0, 1.25, 0.8
-    u0 = C / x ** alpha
-    assert cf.blowup_time_tail(x, C, alpha, beta, rho) == pytest.approx(
-        cf.blowup_time(u0, rho, beta), rel=1e-12)
 
 
 def test_growth_solution_hits_level_curve():
@@ -186,3 +181,31 @@ def test_array_evaluation_matches_one_point_calls_bit_for_bit(ac6_specs,
     assert got.shape == ts.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
                                   err_msg=spec.kind)
+
+
+# sha256 of json.dumps(describe(spec), sort_keys=True) for each AC6 spec, in
+# AC6's order: every selected constant and every ledger margin, to the bit
+AC6_DESCRIBE_SHA256 = [
+    # pme-bump at PME, fde-plateau at FDE, appendix at MIX
+    "3f46b392d3dfffcb1939d31cd8ae7acdfcb29854f30eccfc59c5f3311b60e5d3",
+    "4c1abba70e68dd05d7ca1be4121a2e964bee1bf9f990ce65e3ca77ecad0b36bf",
+    "4f7bfe6d5aa67cdd2bf0a3a2aba0c95dc616d9b7a66a142aa62a811d375ef0d2",
+    # growth-super at PME, FDE, MIX
+    "a67fd7197b050e9e566e8c4787ef5c44ba36971d20e784b353d09c824c081591",
+    "fb7b8b474686bda56df25b22f25f1356263131e115fef5b14685d4434ca04998",
+    "e5a3c6b27ccd7d9a834e381fe6c674db305d8af2e099d9cecd61c077c290a9c2",
+    # const-super at NOACC
+    "8512d9b812fd7d1b18868754b1d7b5463a604ff4765baeec301c29df4d259713",
+    # right-tail at PME, FDE, NOACC, MIX
+    "daad39020f3271cc106f744b7e800a7d1f53966d93989a5d6c99d31a968ee9bf",
+    "287daea5321332a677b80cd476bb3025633ee2f5206539722b4df636108bf925",
+    "daad39020f3271cc106f744b7e800a7d1f53966d93989a5d6c99d31a968ee9bf",
+    "287daea5321332a677b80cd476bb3025633ee2f5206539722b4df636108bf925",
+]
+
+
+@pytest.mark.parametrize("index", range(11))
+def test_ac6_descriptions_match_the_golden_hashes(ac6_specs, index):
+    text = json.dumps(cf.describe(ac6_specs[index]), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == AC6_DESCRIBE_SHA256[index]), text

@@ -110,6 +110,15 @@ def test_gamma_effective_values_and_domain():
 
 # --- the array classifier against the scalar ladder ------------------------
 
+def oracle_exponent(gamma, beta, alpha):
+    """1/(gamma (beta-1)); a DomainError where it overflows."""
+    exponent = 1.0 / (gamma * (beta - 1.0))
+    if math.isinf(exponent):
+        raise DomainError(f"the exponent 1/(gamma (beta-1)) overflows at "
+                          f"alpha={alpha}, beta={beta}")
+    return exponent
+
+
 def oracle_classify(m, alpha, beta):
     """The phase diagram as one scalar if-ladder per triple: the reference
     classify_row must match cell by cell, bit for bit."""
@@ -133,7 +142,7 @@ def oracle_classify(m, alpha, beta):
             return RegimeKind(Regime.BOUNDARY, label="beta=1+1/alpha")
         if beta < b1:
             return RegimeKind(Regime.POLYNOMIAL,
-                              exponent=1.0 / (alpha * (beta - 1.0)))
+                              exponent=oracle_exponent(alpha, beta, alpha))
         return RegimeKind(Regime.NO_ACCELERATION)
 
     saturation = 2.0 / (1.0 - m)
@@ -156,10 +165,10 @@ def oracle_classify(m, alpha, beta):
         return RegimeKind(Regime.BOUNDARY, label="beta=m+2/gamma")
     if beta < min(b1, b2):
         return RegimeKind(Regime.POLYNOMIAL,
-                          exponent=1.0 / (gamma * (beta - 1.0)))
+                          exponent=oracle_exponent(gamma, beta, alpha))
     if b2 < beta < b1:
         return RegimeKind(Regime.POLY_LOWER_ONLY,
-                          exponent=1.0 / (gamma * (beta - 1.0)))
+                          exponent=oracle_exponent(gamma, beta, alpha))
     if b1 < beta < b3:
         return RegimeKind(Regime.INFINITE_SPEED)
     return RegimeKind(Regime.NO_ACCELERATION)
@@ -169,18 +178,19 @@ def oracle_classify(m, alpha, beta):
 def rows(draw):
     """One (m, alpha) and a few betas: random values, values exactly on
     every dividing curve, and values outside the domain. A drawn alpha
-    stays at or above 1e-3, where 1/(gamma (beta-1)) cannot underflow its
+    stays at or above 1e-300, where 1/(gamma (beta-1)) cannot underflow its
     denominator to zero (the ladder would raise ZeroDivisionError there);
-    the subnormal 1e-310 is outside the domain, since 1/alpha overflows."""
+    the subnormal 1e-310 is outside the domain, since 1/alpha overflows, and
+    1e-300 with beta = 1 + 1e-10 is, since the exponent overflows."""
     nan, inf = math.nan, math.inf
     m = draw(st.one_of(st.floats(0.01, 4.0),
                        st.sampled_from([0.5, 1.0, 2.0, 0.0, -0.5, nan])))
     alphas = [st.floats(1e-3, 1e3),
-              st.sampled_from([inf, 0.0, -1.0, nan, 1e-310])]
+              st.sampled_from([inf, 0.0, -1.0, nan, 1e-310, 1e-300])]
     if 0 < m < 1:  # the critical alpha, and the one where b1 = b2 = b3
         alphas.append(st.sampled_from([2.0 / (1.0 - m), 1.0 / (1.0 - m)]))
     alpha = draw(st.one_of(alphas))
-    edges = [1.0, 2.0 - m, 0.5, -inf, nan, inf]
+    edges = [1.0, 1.0 + 1e-10, 2.0 - m, 0.5, -inf, nan, inf]
     if m > 0 and alpha > 0:
         gamma = min(alpha, 2.0 / (1.0 - m)) if m < 1 else alpha
         edges += [1.0 + 1.0 / gamma, m + 2.0 / gamma, 1.0 + 1.0 / alpha]
@@ -231,6 +241,18 @@ def test_alpha_with_an_overflowing_reciprocal_is_a_domain_error(m, beta):
     codes, values = classify_row(m, 1e-310, np.array([beta, 0.5]))
     assert [KINDS[c] for c in codes.tolist()] == [None, None]
     assert np.isnan(values).all()
+
+
+@pytest.mark.parametrize("m", [2.0, 0.5])
+def test_an_overflowing_exponent_is_a_domain_error(m):
+    # 1/alpha is finite, but 1/(gamma (beta-1)) overflows
+    with pytest.raises(DomainError, match=r"1/\(gamma \(beta-1\)\) overflows"):
+        classify(m, 1e-300, 1.0 + 1e-10)
+    codes, values = classify_row(m, 1e-300, np.array([1.0 + 1e-10, 1.5]))
+    assert KINDS[codes[0]] is None
+    assert np.isnan(values[0])
+    assert KINDS[codes[1]].regime is Regime.POLYNOMIAL
+    assert np.isfinite(values[1])
 
 
 # --- partition / consistency properties -----------------------------------
