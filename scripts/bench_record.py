@@ -8,9 +8,13 @@ Run from anywhere; the benchmark is found next to this script:
 Each workload BENCHMARK.json lists, plus kpp_front and ordering_batch, runs
 once untraced (the end-to-end metrics) and once traced (the per-layer
 metrics) through perfbench/run.py, each in its own process. The file keeps,
-for every run, the `# env`, `# raw`, `# figures` and `# problem` lines and
-the final JSON line. Timings on a shared machine are noisy, so the record
-backs no gate; a claim needs alternated pairs of runs.
+for every run, the `# env`, `# raw`, `# figures` and `# problem` lines, the
+final JSON line and `wall_over_calibration`, the raw `wall_s` divided by the
+run's calibration kernel time, which varies less between sessions than
+`wall_s` itself. `tree_dirty` records whether src, scripts or perfbench held
+uncommitted changes (null where git cannot tell), since `git_revision` then
+names a commit that is not what ran. Timings on a shared machine are noisy,
+so the record backs no gate; a claim needs alternated pairs of runs.
 """
 import argparse
 import json
@@ -41,7 +45,23 @@ def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
         elif key == "problem":
             record["problems"].append(rest)
     record["result"] = json.loads(lines[-1])
+    raw = record["raw"]
+    record["wall_over_calibration"] = (raw["wall_s"]
+                                       / raw["calibration_kernel_s"])
     return record
+
+
+def tree_dirty():
+    """Whether src, scripts or perfbench differ from the commit; None when
+    git cannot tell."""
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--", "src", "scripts",
+             "perfbench"], cwd=ROOT, capture_output=True, text=True,
+            check=False)
+    except OSError:  # no git executable
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -57,7 +77,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]]
     names += [w for w in EXTRA_WORKLOADS if w not in names]
     doc = {"label": args.label, "seed": args.seed, "seconds": seconds,
-           "workloads": {}}
+           "tree_dirty": tree_dirty(), "workloads": {}}
     for name in names:
         doc["workloads"][name] = {
             mode: run_once(name, args.seed, seconds, trace)

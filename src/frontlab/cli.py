@@ -41,8 +41,8 @@ from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
                     read_config)
 from .regimes import (KINDS, NUMBER_FIELD, Regime, classify, classify_row,
                       envelopes, linear_speed_bound)
-from .solver import (SolutionTrajectory, SolverConfig, discrete_residual,
-                     simulate)
+from .solver import (_TIME_TOL, SolutionTrajectory, SolverConfig,
+                     discrete_residual, simulate)
 
 __all__ = ["main", "RunManifest"]
 
@@ -185,6 +185,9 @@ def read_trajectory_csv(path: Path) -> SolutionTrajectory:
         raise DomainError("trajectory grid row must start with nan")
     if not np.all(np.isfinite(table.ravel()[1:])):
         raise DomainError("trajectory grid, times or values are not finite")
+    if np.any(np.diff(table[1:, 0]) <= _TIME_TOL):  # simulate's rule
+        raise DomainError("trajectory times must increase, each more than "
+                          f"{_TIME_TOL:g} after the one before it")
     grid = Grid(x=table[0, 1:].copy(), kind="loaded")
     times = tuple(table[1:, 0].tolist())
     fields = tuple(field_build(u, t) for t, u in zip(times, table[1:, 1:]))
@@ -253,26 +256,29 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-_CONSTRUCT_KINDS = ("pme-bump", "fde-sub", "appendix-sub", "growth-super",
-                    "const-super", "right-tail")
+# the kinds built from (params, epsilon) as given
+_CONSTRUCTORS = {"pme-bump": closedform.pme_bump_params,
+                 "fde-sub": closedform.fde_sub_params,
+                 "appendix-sub": closedform.appendix_sub_params,
+                 "growth-super": closedform.growth_super}
+_CONSTRUCT_KINDS = (*_CONSTRUCTORS, "const-super", "right-tail")
 
 
 def _cmd_construct(args) -> int:
     t0 = time.perf_counter()
     params = _params_from_args(args)
     eps = args.epsilon
-    if args.kind == "pme-bump":
-        spec = closedform.pme_bump_params(params, eps)
-    elif args.kind == "fde-sub":
-        spec = closedform.fde_sub_params(params, eps)
-    elif args.kind == "appendix-sub":
-        spec = closedform.appendix_sub_params(params, eps)
-    elif args.kind == "growth-super":
-        spec = closedform.growth_super(params, eps)
-    elif args.kind == "const-super":
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {eps}")
+    # the manifest records the epsilon each kind used
+    if args.kind == "const-super":
         spec = closedform.constant_speed_super(params)
+        eps = None
+    elif args.kind == "right-tail":
+        eps = min(eps, 0.5)
+        spec = closedform.right_tail_spec(params, eps=eps)
     else:
-        spec = closedform.right_tail_spec(params, eps=min(eps, 0.5))
+        spec = _CONSTRUCTORS[args.kind](params, eps)
     doc = closedform.describe(spec)
     rep = discrete_residual(None, spec, params, samples=spec.sampler())
     # the AC6 sign rule: a subsolution's residual is <= 0, a supersolution's

@@ -22,7 +22,7 @@ from .regimes import Regime, classify, gamma_effective
 
 __all__ = [
     "GrowthSolution", "SubsolutionSpec", "Check",
-    "growth_eval", "blowup_time", "level_curve",
+    "growth_eval", "level_curve",
     "pme_bump_params", "fde_sub_params", "appendix_sub_params",
     "growth_super", "constant_speed_super", "right_tail_spec", "describe",
 ]
@@ -183,17 +183,6 @@ def growth_eval(g: GrowthSolution, t, x):
                          t_blow=t_min)
         out = base ** (-1.0 / bm1)
     return float(out) if out.ndim == 0 else out
-
-
-def blowup_time(u0_val: float, rho: float, beta: float) -> float:
-    """T = 1/(rho (beta-1) u0^(beta-1)); finite only for beta > 1."""
-    if not beta > 1.0:
-        raise DomainError("blow-up time requires beta > 1")
-    if not 0.0 < u0_val <= 1.0:
-        raise DomainError("u0 value must lie in (0, 1]")
-    if not rho > 0.0:
-        raise DomainError("rho must be positive")
-    return 1.0 / (rho * (beta - 1.0) * u0_val ** (beta - 1.0))
 
 
 def level_curve(theta: float, t, C: float, alpha: float, beta: float,

@@ -16,14 +16,6 @@ class DomainError(FrontlabError):
     """Arguments outside the mathematical domain of an operation."""
 
 
-class CertificateViolation(FrontlabError):
-    """A claimed reaction bound fails at some sample point."""
-
-    def __init__(self, message: str, s: float | None = None):
-        super().__init__(message)
-        self.s = s
-
-
 class InfeasibleSelection(FrontlabError):
     """No admissible constant selection; message names the failing inequality."""
 
@@ -41,12 +33,8 @@ class BlowUp(FrontlabError):
 
 
 class StabilityFailure(FrontlabError):
-    """A time step broke down.
-
-    Either the explicit update left the trusted range before clamping or
-    held a NaN, or the semi-implicit system held a non-finite entry, its
-    tridiagonal solve failed, or the solve returned non-finite values.
-    """
+    """A time step broke down: a zero, infinite or NaN diffusivity, a
+    non-finite entry in its system, a failed solve or a non-finite result."""
 
 
 class DomainExhausted(FrontlabError):

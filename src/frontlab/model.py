@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CertificateViolation, DomainError
+from .errors import DomainError
 
 # Decay rate of the light-tail variant (alpha = inf). Two is the classical
 # steepness threshold for linear diffusion, so these data spread at speed
@@ -89,22 +89,6 @@ class ReactionFn:
         return float(out) if arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Sampled margins of the two power-law bounds (negative = violation)."""
-
-    lower_margin: float
-    lower_arg: float
-    upper_margin: float
-    upper_arg: float
-    endpoint_residual: float
-    interior_min: float
-    n_samples: int
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.lower_margin >= -tol and self.upper_margin >= -tol
-
-
 def reaction_eval(params: ModelParams, s):
     """Evaluate the default family r*s^beta*(1-s)."""
     arr = np.asarray(s, dtype=float)
@@ -118,9 +102,8 @@ def reaction_eval(params: ModelParams, s):
 def default_reaction(params: ModelParams) -> ReactionFn:
     """The family r*s^beta*(1-s) with its sharp declared bounds.
 
-    On [0, s0] the factor (1-s) is at least (1-s0), so the lower certificate
-    carries rate r*(1-s0); the upper one holds with rate r (hence with the
-    declared r_bar as well).
+    On [0, s0] the factor (1-s) is at least 1-s0, so the lower bound holds
+    with rate r*(1-s0); the upper one with rate r, hence with r_bar >= r.
     """
     r, beta = params.r, params.beta
 
@@ -133,57 +116,6 @@ def default_reaction(params: ModelParams) -> ReactionFn:
         lower=(r * (1.0 - params.s0), beta, params.s0),
         upper=(params.r_bar, beta),
     )
-
-
-def reaction_certify(f: ReactionFn, params: ModelParams,
-                     n_samples: int = 100_000) -> CertificateReport:
-    """Dense-sample the declared bounds and the monostability of f.
-
-    Checks f(0) = f(1) = 0 (to 1e-14), f > 0 at interior samples,
-    f(s) >= rate_lo*s^b on [0, s0], and f(s) <= rate_up*s^b on [0, 1].
-    Raises CertificateViolation (carrying the offending s) on failure.
-    """
-    if n_samples < 1000:
-        raise DomainError("n_samples must be at least 1000")
-    rate_lo, beta_lo, s0 = f.lower
-    rate_up, beta_up = f.upper
-    s_all = np.linspace(0.0, 1.0, n_samples)
-    vals = np.asarray(f.fn(s_all), dtype=float)
-
-    endpoint = max(abs(float(vals[0])), abs(float(vals[-1])))
-    if endpoint > 1e-14:
-        bad = 0.0 if abs(vals[0]) > 1e-14 else 1.0
-        raise CertificateViolation("f does not vanish at an endpoint", s=bad)
-    interior = vals[1:-1]
-    if np.any(interior <= 0.0):
-        k = int(np.argmax(interior <= 0.0)) + 1
-        raise CertificateViolation("f not positive inside (0,1)",
-                                   s=float(s_all[k]))
-
-    upper_gap = rate_up * s_all ** beta_up - vals
-    iu = int(np.argmin(upper_gap))
-    lo_mask = s_all <= s0
-    lower_gap = vals[lo_mask] - rate_lo * s_all[lo_mask] ** beta_lo
-    il = int(np.argmin(lower_gap))
-
-    report = CertificateReport(
-        lower_margin=float(lower_gap[il]),
-        lower_arg=float(s_all[lo_mask][il]),
-        upper_margin=float(upper_gap[iu]),
-        upper_arg=float(s_all[iu]),
-        endpoint_residual=endpoint,
-        interior_min=float(interior.min()),
-        n_samples=n_samples,
-    )
-    if report.lower_margin < -1e-12:
-        raise CertificateViolation(
-            f"lower bound fails at s={report.lower_arg:.6g} "
-            f"(margin {report.lower_margin:.3e})", s=report.lower_arg)
-    if report.upper_margin < -1e-12:
-        raise CertificateViolation(
-            f"upper bound fails at s={report.upper_arg:.6g} "
-            f"(margin {report.upper_margin:.3e})", s=report.upper_arg)
-    return report
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .model import ReactionFn
 
 __all__ = [
     "CASE_I", "CASE_II", "CASE_III", "ShootControls", "ShootResult",
-    "WaveProfile", "SpeedCertificate", "g_eval", "g_fn", "shoot",
+    "WaveProfile", "SpeedCertificate", "g_fn", "shoot",
     "engler_transform", "ignition_truncate", "find_compact_support_speed",
 ]
 
@@ -79,32 +79,25 @@ class SpeedCertificate:
     full: "ShootResult"
 
 
-def g_eval(m: float, f, s):
-    """m f(s) s^(m-1), extended by 0 at s = 0 when the product vanishes there."""
+def g_fn(m: float, f) -> Callable:
+    """Bind g(s) = m f(s) s^(m-1) for m > 0, extended by 0 at s = 0 and 1.
+
+    g raises DomainError for s outside [0, 1], and at s = 0 if m + beta <= 1
+    (beta: a ReactionFn's declared upper exponent, 1 for a plain callable).
+    """
     if not m > 0.0:
         raise DomainError("m must be positive")
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("s must lie in [0, 1]")
-    if np.any(arr == 0.0):
-        beta = f.upper[1] if isinstance(f, ReactionFn) else 1.0
-        if not m + beta - 1.0 > 0.0:
-            raise DomainError("g(s) = m f(s) s^(m-1) is singular at s = 0")
-    a1 = np.atleast_1d(arr)
-    out = np.zeros_like(a1)
-    pos = a1 > 0.0
-    if pos.any():
-        fv = np.asarray(f(a1[pos]), dtype=float)
-        out[pos] = m * fv * a1[pos] ** (m - 1.0)
-    return float(out[0]) if arr.ndim == 0 else out
+    beta = f.upper[1] if isinstance(f, ReactionFn) else 1.0
+    singular_at_zero = not m + beta - 1.0 > 0.0
 
-
-def g_fn(m: float, f) -> Callable:
-    """Bind s -> m f(s) s^(m-1), extended by zero outside (0, 1)."""
     def g(s: float) -> float:
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
-        return m * float(f(s)) * s ** (m - 1.0)
+        if 0.0 < s < 1.0:
+            return m * float(f(s)) * s ** (m - 1.0)
+        if not 0.0 <= s <= 1.0:
+            raise DomainError("s must lie in [0, 1]")
+        if s == 0.0 and singular_at_zero:
+            raise DomainError("g(s) = m f(s) s^(m-1) is singular at s = 0")
+        return 0.0
     return g
 
 

@@ -108,9 +108,10 @@ def test_infinite_diffusivity_exits_3(tmp_path):
 
 
 def test_infeasible_selection_exits_4(tmp_path):
+    # epsilon lies in (0, 1) but not below r, which growth-super needs
     assert main(["construct", "--kind", "growth-super", "--m", "0.5",
-                 "--alpha", "3", "--beta", "1.2", "--epsilon", "1.5",
-                 "--out", str(tmp_path)]) == 4
+                 "--alpha", "3", "--beta", "1.2", "--epsilon", "0.5",
+                 "--r", "0.4", "--out", str(tmp_path)]) == 4
 
 
 @pytest.mark.parametrize("spoil", [
@@ -200,14 +201,17 @@ def test_construct_prints_and_saves_the_description(tmp_path, capsys):
     assert any(p.endswith("construct_pme-bump.json") for p in man["outputs"])
 
 
-@pytest.mark.parametrize("kind,m,alpha,beta", [
+CONSTRUCT_HOMES = [
     ("pme-bump", "2", "2", "1.25"),
     ("fde-sub", "0.5", "8", "1"),
     ("appendix-sub", "0.5", "3", "1.2"),
     ("growth-super", "0.5", "3", "1.2"),
     ("const-super", "2", "1", "2.5"),
     ("right-tail", "0.5", "8", "1"),
-])
+]
+
+
+@pytest.mark.parametrize("kind,m,alpha,beta", CONSTRUCT_HOMES)
 def test_construct_certifies_each_kind_at_its_home_parameters(
         tmp_path, capsys, kind, m, alpha, beta):
     rc = main(["construct", "--kind", kind, "--m", m, "--alpha", alpha,
@@ -216,6 +220,20 @@ def test_construct_certifies_each_kind_at_its_home_parameters(
     doc = last_json(capsys)
     assert doc["residual"]["sign_ok"] is True
     assert json.loads((tmp_path / f"construct_{kind}.json").read_text()) == doc
+
+
+@pytest.mark.parametrize("kind,m,alpha,beta", CONSTRUCT_HOMES)
+def test_construct_validates_epsilon_once_and_records_the_value_used(
+        tmp_path, capsys, kind, m, alpha, beta):
+    args = ["construct", "--kind", kind, "--m", m, "--alpha", alpha,
+            "--beta", beta, "--json", "--out", str(tmp_path)]
+    for bad in ("-0.5", "0", "1", "1.5", "-7", "nan"):
+        assert main(args + ["--epsilon", bad]) == 2, bad
+    assert main(args + ["--epsilon", "0.7"]) == 0
+    man = json.loads((tmp_path / "construct_manifest.json").read_text())
+    # right-tail caps epsilon at 0.5; const-super uses none
+    used = {"right-tail": 0.5, "const-super": None}.get(kind, 0.7)
+    assert man["config"]["epsilon"] == used
 
 
 def test_construct_signs_a_supersolution_residual_from_below(tmp_path,
@@ -337,6 +355,8 @@ def test_trajectory_reader_guards_the_format(tmp_path):
         [header, with_cell(grid_row, 1, "nan"), row0, row1],
         [header, grid_row, with_cell(row0, 0, "inf"), row1],
         [header, grid_row, row0, with_cell(row1, 2, "nan")],
+        [header, grid_row, row1, row0],                      # out of order
+        [header, grid_row, row0, row1, row1],                # repeated time
     )
     bad = tmp_path / "bad.csv"
     for lines in malformed:

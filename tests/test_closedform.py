@@ -37,7 +37,10 @@ def assert_certified(spec):
 def test_blowup_time_matches_quadrature():
     for u0, rho, beta in [(0.5, 1.0, 2.0), (0.1, 0.7, 1.5), (0.9, 2.0, 3.0)]:
         exact, _ = quad(lambda u: 1.0 / (rho * u ** beta), u0, np.inf)
-        assert cf.blowup_time(u0, rho, beta) == pytest.approx(exact, rel=1e-10)
+        g = cf.GrowthSolution(rho=rho, beta=beta, u0=lambda x: u0)
+        with pytest.raises(BlowUp) as exc:
+            cf.growth_eval(g, 2.0 * exact, 0.0)
+        assert exc.value.t_blow == pytest.approx(exact, rel=1e-10)
 
 
 def test_growth_solution_hits_level_curve():
@@ -55,7 +58,9 @@ def test_blowup_with_array_times_reports_the_earliest_blowup():
     datum = initial_data_build(1.0, 2.0, 2.0, 1.0)
     g = cf.GrowthSolution(rho=rho, beta=beta, u0=datum)
     x = np.array([3.0, 5.0, 9.0])
-    t_blow = [cf.blowup_time(float(datum(v)), rho, beta) for v in x]
+    # T = 1/(rho (beta-1) u0^(beta-1)) at each point
+    t_blow = [1.0 / (rho * (beta - 1.0) * float(datum(v)) ** (beta - 1.0))
+              for v in x]
     # only the last point is past its own blow-up; the first blows up first
     t = np.array([0.0, 0.0, 1.01 * t_blow[2]])
     with pytest.raises(BlowUp) as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frontlab.errors import CertificateViolation, DomainError
+from frontlab.errors import DomainError
 from frontlab.model import (
     Field,
     Grid,
@@ -15,7 +15,6 @@ from frontlab.model import (
     initial_data_build,
     params_from_dict,
     params_to_dict,
-    reaction_certify,
     reaction_eval,
     bundle_from_dict,
 )
@@ -95,21 +94,18 @@ def test_reaction_respects_certified_bounds(beta, r, bump, s0):
     assert np.all(fn.fn(low) >= rate * low ** beta - 1e-12)
 
 
-def test_reaction_certify_default_family():
+def test_default_reaction_meets_its_declared_bounds_on_a_dense_sample():
     p = make_params(beta=1.25)
-    rep = reaction_certify(default_reaction(p), p, n_samples=20000)
-    assert rep.lower_margin >= 0.0
-    assert rep.upper_margin >= 0.0
-    assert abs(rep.endpoint_residual) <= 1e-15
-
-
-def test_reaction_certify_flags_violations():
-    p = make_params()
-    bad = default_reaction(p)
-    liar = type(bad)(fn=lambda s: 2.0 * np.asarray(s), lower=bad.lower,
-                     upper=bad.upper)
-    with pytest.raises(CertificateViolation):
-        reaction_certify(liar, p, n_samples=2000)
+    f = default_reaction(p)
+    rate_lo, beta_lo, s0 = f.lower
+    rate_up, beta_up = f.upper
+    s = np.linspace(0.0, 1.0, 20000)
+    vals = np.asarray(f.fn(s), dtype=float)
+    low = s <= s0
+    assert np.min(vals[low] - rate_lo * s[low] ** beta_lo) >= 0.0
+    assert np.min(rate_up * s ** beta_up - vals) >= 0.0
+    assert max(abs(vals[0]), abs(vals[-1])) <= 1e-15
+    assert np.all(vals[1:-1] > 0.0)  # monostable: positive inside (0, 1)
 
 
 # --- initial data ---------------------------------------------------------

@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from frontlab.cli import main
 from frontlab.errors import DomainError, NonTermination
-from frontlab.model import ReactionFn
+from frontlab.model import ModelParams, ReactionFn, default_reaction
 from frontlab.waves import (
     CASE_I,
     CASE_II,
@@ -14,7 +16,6 @@ from frontlab.waves import (
     ShootResult,
     engler_transform,
     find_compact_support_speed,
-    g_eval,
     g_fn,
     ignition_truncate,
     shoot,
@@ -29,35 +30,44 @@ def f_logistic(s):
 
 def test_g_eval_by_substitution():
     # 0.5 * f(0.25) * 0.25^(-1/2) = 0.5 * 0.1875 * 2
-    assert g_eval(0.5, f_logistic, 0.25) == pytest.approx(0.1875, rel=1e-14)
+    assert g_fn(0.5, f_logistic)(0.25) == pytest.approx(0.1875, rel=1e-14)
 
 
 def test_g_eval_is_identity_at_m_one():
     s = np.linspace(0.0, 1.0, 17)
-    assert np.allclose(g_eval(1.0, f_logistic, s), f_logistic(s), atol=0.0)
+    g = g_fn(1.0, f_logistic)
+    assert np.allclose([g(v) for v in s], f_logistic(s), atol=0.0)
 
 
 def test_g_over_s_blows_up_for_fast_diffusion():
-    ratios = [g_eval(0.5, f_logistic, s) / s for s in (1e-2, 1e-4, 1e-6)]
+    g = g_fn(0.5, f_logistic)
+    ratios = [g(s) / s for s in (1e-2, 1e-4, 1e-6)]
     assert ratios[0] < ratios[1] < ratios[2]
     assert ratios[2] > 1e2
 
 
 def test_g_eval_rejects_bad_density():
+    g = g_fn(0.5, f_logistic)
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            g(bad)
+
+
+@pytest.mark.parametrize("m", [0.0, -0.5, math.nan])
+def test_g_fn_rejects_a_nonpositive_m(m):
     with pytest.raises(DomainError):
-        g_eval(0.5, f_logistic, -0.1)
-    with pytest.raises(DomainError):
-        g_eval(0.5, f_logistic, 1.5)
+        g_fn(m, f_logistic)
 
 
 def test_g_eval_singular_extension_is_refused():
     # a certified bound with beta = 0.4 makes m f(s) s^(m-1) ~ s^(-0.1)
     fn = ReactionFn(fn=lambda s: np.asarray(s) ** 0.4,
                     lower=(0.5, 0.4, 0.5), upper=(1.0, 0.4))
+    g = g_fn(0.5, fn)
     with pytest.raises(DomainError):
-        g_eval(0.5, fn, np.array([0.0, 0.5]))
+        [g(v) for v in (0.0, 0.5)]
     # the same fn away from zero is fine
-    assert g_eval(0.5, fn, 0.25) > 0.0
+    assert g(0.25) > 0.0
 
 
 # --- shooting ----------------------------------------------------------------
@@ -171,6 +181,39 @@ def test_non_termination_agrees_with_a_radau_reference():
     wide = ShootControls(y_max=1e10)
     assert radau_reference(10.0, 0.5, g, wide) == (CASE_I, None)
     assert shoot(10.0, 0.5, g, wide).outcome == CASE_I
+
+
+# float.hex of (y_c, terminal_slope) for AC7's shots: m = 0.5, delta = 0.5
+AC7_SHOT_BITS = {
+    1.0: ("0x1.e397dde565ea6p+1", "-0x1.0bc8eb871c3e8p-3"),
+    5.0: ("0x1.104e90e4bb4c8p+4", "-0x1.2df3363a3d388p-9"),
+    20.0: ("0x1.18de6d091c909p+6", "-0x1.2f1a09cebc0ebp-15"),
+}
+
+
+@pytest.mark.parametrize("c", sorted(AC7_SHOT_BITS))
+def test_ac7_shots_match_the_golden_bits(c):
+    res = shoot(c, 0.5, g_fn(0.5, f_logistic))
+    assert res.outcome == CASE_III
+    assert (float.hex(res.y_c), float.hex(res.terminal_slope)) \
+        == AC7_SHOT_BITS[c]
+
+
+def test_speed_certificate_matches_the_golden_value():
+    noacc = ModelParams(m=2.0, alpha=1.0, beta=2.5, r=1.0, r_bar=1.0,
+                        C=1.0, C_bar=1.0, s0=0.5, x0=2.0)
+    cert = find_compact_support_speed(
+        g_fn(2.0, default_reaction(noacc)), 0.5)
+    assert cert.c0 == 0.25
+
+
+def test_wave_profile_matches_the_golden_hash(tmp_path, capsys):
+    assert main(["wave", "--c", "1", "--m", "0.5", "--alpha", "8",
+                 "--beta", "1", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256(
+        (tmp_path / "wave_profile.csv").read_bytes()).hexdigest()
+    assert digest == ("221c61ec591ab6c5b4f03cc2a1958c3d"
+                      "cfa7f1c6fd3353f8a2c666aaf57a7596")
 
 
 def test_crossing_distance_grows_with_damping():
