@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from frontlab.model import ModelParams, default_reaction
-from frontlab.waves import ShootControls, engler_transform, g_fn, shoot
+from frontlab.waves import engler_transform, g_fn, shoot
 
 OUT = Path("runs/waves")
 CASES = [(0.5, 1.0), (0.5, 5.0), (1.0, 2.0), (2.0, 0.5), (2.0, 1.0)]
 DELTA = 0.5
 # m > 1 orbits above the minimal speed decay like c/(2y); give those shots
 # a window long enough for the origin event to fire.
-LONG = ShootControls(y_max=1e10)
+LONG_Y_MAX = 1e10
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
         params = ModelParams(m=m, alpha=2.0, beta=1.0, r=1.0, r_bar=1.0,
                              C=1.0, C_bar=1.0, s0=0.5, x0=2.0)
         g = g_fn(m, default_reaction(params))
-        res = shoot(c, DELTA, g, LONG if m > 1.0 else None)
+        res = shoot(c, DELTA, g, LONG_Y_MAX if m > 1.0 else None)
         print(f"m={m} c={c}: {res.outcome} y_c={res.y_c} "
               f"slope={res.terminal_slope}")
         if res.outcome != "case-iii":

@@ -1,8 +1,9 @@
 """Level-set extraction, propagation-law fitting, and ordering checks.
 
 Everything here is post-processing on SolutionTrajectory snapshots: locate
-the rightmost lambda-crossing, fit exponential or power laws to its path,
-and compare against envelope predictions or a second trajectory.
+the rightmost lambda-crossing, fit exponential or power laws to the final
+third of its path, and compare against envelope predictions or a second
+trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class LevelSetTrace:
     lam: float
     t: np.ndarray
     x: np.ndarray
-    method: str = "linear"
 
     def __len__(self) -> int:
         return int(self.t.size)
@@ -93,11 +93,13 @@ def track_level(traj, lam: float) -> LevelSetTrace:
     return LevelSetTrace(lam=lam, t=np.asarray(ts), x=np.asarray(xs))
 
 
-def _tail_window(trace: LevelSetTrace, window: float):
-    if not 0.0 < window <= 1.0:
-        raise DomainError("window fraction must lie in (0, 1]")
+# the fits use the final third of the trace
+FIT_WINDOW = 1.0 / 3.0
+
+
+def _tail_window(trace: LevelSetTrace):
     n = len(trace)
-    k = max(int(math.ceil(window * n)), 2)
+    k = max(int(math.ceil(FIT_WINDOW * n)), 2)
     t_w = trace.t[n - k:]
     x_w = trace.x[n - k:]
     if t_w.size < 10:
@@ -111,10 +113,10 @@ def _line_fit(a: np.ndarray, b: np.ndarray):
     return float(coef[0]), rms
 
 
-def fit_exponential_rate(trace: LevelSetTrace, window: float = 1.0 / 3.0,
+def fit_exponential_rate(trace: LevelSetTrace,
                          reference: Optional[float] = None) -> FitReport:
-    """Slope of ln x_lambda(t) against t over the final `window` fraction."""
-    t_w, x_w = _tail_window(trace, window)
+    """Slope of ln x_lambda(t) against t over the final third of the trace."""
+    t_w, x_w = _tail_window(trace)
     if np.any(x_w <= 0.0):
         raise DegenerateFit("exponential fit needs positive positions")
     slope, rms = _line_fit(t_w, np.log(x_w))
@@ -123,10 +125,10 @@ def fit_exponential_rate(trace: LevelSetTrace, window: float = 1.0 / 3.0,
                      residual_norm=rms, ratio=ratio)
 
 
-def fit_polynomial_exponent(trace: LevelSetTrace, window: float = 1.0 / 3.0,
+def fit_polynomial_exponent(trace: LevelSetTrace,
                             reference: Optional[float] = None) -> FitReport:
-    """Slope of ln x_lambda against ln t over the final `window` fraction."""
-    t_w, x_w = _tail_window(trace, window)
+    """Slope of ln x_lambda against ln t over the final third of the trace."""
+    t_w, x_w = _tail_window(trace)
     if np.any(t_w < 1.0):
         raise DomainError("power-law fit needs all window times >= 1")
     if np.any(x_w <= 0.0):

@@ -1,11 +1,12 @@
 """Batch front-end.
 
 Subcommands: classify, construct, shoot, wave, simulate, analyze,
-experiment, sweep. Outputs are JSON documents and CSV tables under --out.
-Each is streamed chunk by chunk (one CSV row at a time) into a temp file
-beside its target, created with the mode open() would give it (0666 less
-the umask), and renamed over it after the last chunk, so a reader never
-sees a partial artifact and memory is bounded by one row. Each
+experiment, sweep. Outputs are JSON documents and CSV tables under --out,
+the working directory by default; construct and wave write files only when
+given --out. Each is streamed chunk by chunk (one CSV row at a time) into
+a temp file beside its target, created with the mode open() would give it
+(0666 less the umask), and renamed over it after the last chunk, so a
+reader never sees a partial artifact and memory is bounded by one row. Each
 command also writes a run manifest: the subcommand, the input config and
 the sha256 of its canonical JSON, the output paths and the wall-clock
 time. It holds no hash of the outputs, so it records what ran, not which
@@ -303,15 +304,12 @@ def _shoot_setup(args):
     g = waves.g_fn(params.m, default_reaction(params))
     if args.truncate:
         g = waves.ignition_truncate(g, args.delta)
-    controls = None
-    if args.y_max is not None:
-        controls = waves.ShootControls(y_max=args.y_max)
-    return params, g, controls
+    return params, g
 
 
 def _cmd_shoot(args) -> int:
-    params, g, controls = _shoot_setup(args)
-    res = waves.shoot(args.c, args.delta, g, controls)
+    _, g = _shoot_setup(args)
+    res = waves.shoot(args.c, args.delta, g, args.y_max)
     doc = {"outcome": res.outcome, "c": res.c, "delta": res.delta,
            "y_c": res.y_c, "terminal_slope": res.terminal_slope}
     print(_dump_json(doc, compact=True))
@@ -320,17 +318,15 @@ def _cmd_shoot(args) -> int:
 
 def _cmd_wave(args) -> int:
     t0 = time.perf_counter()
-    params, g, controls = _shoot_setup(args)
-    res = waves.shoot(args.c, args.delta, g, controls)
+    params, g = _shoot_setup(args)
+    res = waves.shoot(args.c, args.delta, g, args.y_max)
     prof = waves.engler_transform(res, params.m)
-    outputs = []
     if args.out is not None:
         path = Path(args.out) / "wave_profile.csv"
         _write_csv(path, ("x", "U"), zip(prof.x, prof.U))
-        outputs.append(path)
         _emit_manifest(args, {"m": params.m, "c": args.c,
                               "delta": args.delta,
-                              "truncate": args.truncate}, outputs, t0)
+                              "truncate": args.truncate}, [path], t0)
     doc = {"c": prof.c, "x_c": prof.x_c, "n": int(prof.x.size),
            "outcome": res.outcome}
     print(_dump_json(doc, compact=True))
@@ -495,12 +491,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontlab",
         description="Front propagation lab for du/dt = (u^m)_xx + f(u)")
+    # construct and wave write files only when given --out; the other
+    # commands write into the working directory by default
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
+    opt_out = argparse.ArgumentParser(add_help=False)
+    for pp, out in ((common, Path(".")), (opt_out, None)):
+        pp.add_argument("--config", type=Path, default=None,
                         help="JSON config document")
-    common.add_argument("--out", type=Path, default=Path("."),
+        pp.add_argument("--out", type=Path, default=out,
                         help="output directory for artifacts")
-    common.add_argument("--json", dest="as_json", action="store_true",
+        pp.add_argument("--json", dest="as_json", action="store_true",
                         help="compact single-line JSON on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -509,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp, required=True)
     sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("construct", parents=[common],
+    sp = sub.add_parser("construct", parents=[opt_out],
                         help="build a certified sub/supersolution")
     sp.add_argument("--kind", choices=_CONSTRUCT_KINDS, required=True)
     sp.add_argument("--epsilon", type=float, default=0.1)
@@ -517,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_construct)
 
     for name, fn in (("shoot", _cmd_shoot), ("wave", _cmd_wave)):
-        sp = sub.add_parser(name, parents=[common])
+        sp = sub.add_parser(name, parents=[opt_out])
         sp.add_argument("--c", type=float, required=True)
         sp.add_argument("--delta", type=float, default=0.5)
         sp.add_argument("--truncate", action="store_true",

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BlowUp, DomainError, InfeasibleSelection, RegimeMismatch)
-from .model import InitialData, ModelParams, initial_data_build
+from .model import (InitialData, ModelParams, default_reaction,
+                    initial_data_build)
 from .regimes import Regime, classify, gamma_effective
 
 __all__ = [
@@ -701,9 +702,10 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
 
     # true residual (w^m)'' + c w' + f(w) on the advertised z-grid
     zg = np.geomspace(z0, 10.0 * z2, 2000)
+    # w can round one ulp above 1 at z0, past reaction_eval's domain check
     w = K / zg ** p
-    f_w = params.r * w ** beta * (1.0 - w)
-    resid = num / zg ** (mp + 2.0) - c * K * p / zg ** (p + 1.0) + f_w
+    resid = (num / zg ** (mp + 2.0) - c * K * p / zg ** (p + 1.0)
+             + default_reaction(params)(w))
     resid_max = float(resid.max())
 
     checks = _enforce("constant-speed supersolution", (

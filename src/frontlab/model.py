@@ -1,4 +1,5 @@
-"""Model layer: equation parameters, reaction family, front-like data, grids.
+"""Model layer: equation parameters, the reaction r s^beta (1-s), front-like
+data, grids.
 
 The equation throughout is du/dt = (u^m)_xx + f(u) on the line, with a
 monostable f and a nonincreasing datum that decays like C/x^alpha on the
@@ -70,52 +71,28 @@ class ModelParams:
             raise DomainError(f"x0 must be > 1, got {self.x0}")
 
 
-@dataclass(frozen=True)
-class ReactionFn:
-    """A monostable nonlinearity with declared power-law bounds near zero.
+def default_reaction(params: ModelParams) -> Callable:
+    """The evaluator s -> r*s^beta*(1-s) of the default family, unchecked.
 
-    ``lower = (rate, beta, s0)`` claims f(s) >= rate*s^beta on [0, s0];
-    ``upper = (rate, beta)`` claims f(s) <= rate*s^beta on [0, 1].
-    The evaluator must accept numpy arrays.
+    It takes numbers or numpy arrays and does not check that s lies in
+    [0, 1], so callers whose densities may round past 1 can use it.
     """
+    r, beta = params.r, params.beta
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    lower: tuple[float, float, float]
-    upper: tuple[float, float]
-
-    def __call__(self, s):
-        arr = np.asarray(s, dtype=float)
-        out = np.asarray(self.fn(arr), dtype=float)
-        return float(out) if arr.ndim == 0 else out
+    def f(s):
+        s = np.asarray(s, dtype=float)
+        return r * s ** beta * (1.0 - s)
+    return f
 
 
 def reaction_eval(params: ModelParams, s):
-    """Evaluate the default family r*s^beta*(1-s)."""
+    """Evaluate r*s^beta*(1-s) on densities s in [0, 1]."""
     arr = np.asarray(s, dtype=float)
     # NaN fails both comparisons, so it is rejected too
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("density outside [0,1]")
-    out = params.r * arr ** params.beta * (1.0 - arr)
+    out = default_reaction(params)(arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def default_reaction(params: ModelParams) -> ReactionFn:
-    """The family r*s^beta*(1-s) with its sharp declared bounds.
-
-    On [0, s0] the factor (1-s) is at least 1-s0, so the lower bound holds
-    with rate r*(1-s0); the upper one with rate r, hence with r_bar >= r.
-    """
-    r, beta = params.r, params.beta
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        return r * s ** beta * (1.0 - s)
-
-    return ReactionFn(
-        fn=fn,
-        lower=(r * (1.0 - params.s0), beta, params.s0),
-        upper=(params.r_bar, beta),
-    )
 
 
 @dataclass(frozen=True)

@@ -202,17 +202,17 @@ def _desc_fn(desc: dict) -> Callable[[np.ndarray], np.ndarray]:
     raise DomainError(f"unknown envelope descriptor kind {kind!r}")
 
 
-def envelopes(params: ModelParams, epsilon: Optional[float] = None,
-              c0: Optional[float] = None) -> Envelope:
+def envelopes(params: ModelParams,
+              epsilon: Optional[float] = None) -> Envelope:
     """Build x-(t), x+(t) for the classified regime of ``params``.
 
     Exponential regime: exp((r-eps)*Gamma*t) and exp((r_bar+eps)*Gamma*t).
     Polynomial regime: ((r-eps) C^(b-1) (b-1) t)^(1/(a_eff (b-1))) and the
     same with (r_bar+eps, C_bar). Lower-only regime: polynomial lower bound
     plus the monomial upper bound of exponent (beta-m+eps)/(2(beta-1)).
-    Infinite-speed regime: only the linear floor c0*t (c0 found by the
-    compact-support wave search when not supplied). T is 1 except in the
-    lower-only regime, where the mismatched exponents cross later.
+    Infinite-speed regime: only the linear floor c0*t, c0 found by the
+    compact-support wave search. T is 1 except in the lower-only regime,
+    where the mismatched exponents cross later.
     """
     eps = 0.1 * params.r if epsilon is None else float(epsilon)
     if not 0 < eps < params.r:
@@ -240,11 +240,10 @@ def envelopes(params: ModelParams, epsilon: Optional[float] = None,
               "prefactor": (params.r_bar + eps) * params.C_bar ** (beta - 1.0) * (beta - 1.0),
               "exponent": p_hi}
     else:  # infinite speed: no localization, only the linear floor
-        if c0 is None:
-            from . import waves
-            g = waves.g_fn(m, default_reaction(params))
-            c0 = waves.find_compact_support_speed(g, 0.5).c0
-        lo = {"kind": "linear", "speed": float(c0)}
+        from . import waves
+        g = waves.g_fn(m, default_reaction(params))
+        lo = {"kind": "linear",
+              "speed": waves.find_compact_support_speed(g, 0.5).c0}
         hi = None
 
     T = 1.0

@@ -2,9 +2,10 @@
 
 The auxiliary equation V'' + c V' + g(V) = 0, V(0) = delta, V'(0) = 0 is
 integrated by LSODA (stiffness-switching Adams/BDF) with terminal event
-detection; a case-iii trajectory (V hits zero with strictly negative
-slope) is mapped back to a compactly supported profile through the
-mass-coordinate change x = int m V^(m-1).
+detection at fixed tolerances (module constants); a caller sets only
+the window y_max. A case-iii trajectory (V hits zero with strictly
+negative slope) is mapped back to a compactly supported profile through
+the mass-coordinate change x = int m V^(m-1).
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (DomainError, NonTermination, SearchExhausted,
                      TransformError)
-from .model import ReactionFn
 
 __all__ = [
-    "CASE_I", "CASE_II", "CASE_III", "ShootControls", "ShootResult",
+    "CASE_I", "CASE_II", "CASE_III", "ShootResult",
     "WaveProfile", "SpeedCertificate", "g_fn", "shoot",
     "engler_transform", "ignition_truncate", "find_compact_support_speed",
 ]
@@ -31,17 +31,13 @@ CASE_I = "case-i"       # converges to the origin without touching it
 CASE_II = "case-ii"     # touches the origin with zero slope (degenerate)
 CASE_III = "case-iii"   # hits V = 0 with strictly negative slope
 
-
-@dataclass(frozen=True)
-class ShootControls:
-    """Integration controls for shoot(); y_max defaults to 1e6/max(c,1)."""
-
-    rtol: float = 1e-8
-    atol: float = 1e-11
-    y_max: Optional[float] = None
-    norm_tol: float = 1e-8
-    slope_tol: float = 1e-8
-    n_samples: int = 1500
+# shoot()'s integration tolerances, the radius of the origin event, the
+# slope below which a crossing is case iii, and the samples it returns
+RTOL = 1e-8
+ATOL = 1e-11
+NORM_TOL = 1e-8
+SLOPE_TOL = 1e-8
+N_SAMPLES = 1500
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,21 +78,18 @@ class SpeedCertificate:
 def g_fn(m: float, f) -> Callable:
     """Bind g(s) = m f(s) s^(m-1) for m > 0, extended by 0 at s = 0 and 1.
 
-    g raises DomainError for s outside [0, 1], and at s = 0 if m + beta <= 1
-    (beta: a ReactionFn's declared upper exponent, 1 for a plain callable).
+    g raises DomainError for s outside [0, 1]. The extension at s = 0 is
+    the limit whenever f(s) ~ s^beta with m + beta > 1, which holds for
+    every beta >= 1.
     """
     if not m > 0.0:
         raise DomainError("m must be positive")
-    beta = f.upper[1] if isinstance(f, ReactionFn) else 1.0
-    singular_at_zero = not m + beta - 1.0 > 0.0
 
     def g(s: float) -> float:
         if 0.0 < s < 1.0:
             return m * float(f(s)) * s ** (m - 1.0)
         if not 0.0 <= s <= 1.0:
             raise DomainError("s must lie in [0, 1]")
-        if s == 0.0 and singular_at_zero:
-            raise DomainError("g(s) = m f(s) s^(m-1) is singular at s = 0")
         return 0.0
     return g
 
@@ -116,17 +109,18 @@ def ignition_truncate(g: Callable, delta: float) -> Callable:
 
 
 def shoot(c: float, delta: float, g: Callable,
-          controls: Optional[ShootControls] = None) -> ShootResult:
-    """Integrate V'' + cV' + g(V) = 0 from (delta, 0) and classify the outcome."""
-    if controls is None:
-        controls = ShootControls()
+          y_max: Optional[float] = None) -> ShootResult:
+    """Integrate V'' + cV' + g(V) = 0 from (delta, 0) over [0, y_max] and
+    classify the outcome; y_max defaults to 1e6/max(c, 1)."""
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    if c < 0.0:
-        raise DomainError("speed must be nonnegative")
-    y_max = controls.y_max
+    # NaN fails both comparisons, so it is rejected too
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"speed must be finite and nonnegative, got {c}")
     if y_max is None:
         y_max = 1e6 / max(c, 1.0)
+    elif not y_max > 0.0:
+        raise DomainError(f"y_max must be positive, got {y_max}")
 
     def rhs(_y, state):
         v, vp = state
@@ -137,10 +131,8 @@ def shoot(c: float, delta: float, g: Callable,
     ev_cross.terminal = True
     ev_cross.direction = -1.0
 
-    norm_tol = controls.norm_tol
-
     def ev_origin(_y, state):
-        return math.hypot(state[0], state[1]) - norm_tol
+        return math.hypot(state[0], state[1]) - NORM_TOL
     ev_origin.terminal = True
     ev_origin.direction = -1.0
 
@@ -150,18 +142,18 @@ def shoot(c: float, delta: float, g: Callable,
     # when it detects that, and takes each step, Newton solves included, in
     # compiled ODEPACK code (Radau runs its Newton iterations in Python).
     sol = solve_ivp(rhs, (0.0, y_max), [delta, 0.0], method="LSODA",
-                    rtol=controls.rtol, atol=controls.atol,
+                    rtol=RTOL, atol=ATOL,
                     dense_output=True, events=[ev_cross, ev_origin])
     if sol.status != 1:
         raise NonTermination(
             f"no terminal event before y = {y_max:.3g} (c={c}, delta={delta})")
 
-    ys = np.linspace(0.0, sol.t[-1], controls.n_samples)
+    ys = np.linspace(0.0, sol.t[-1], N_SAMPLES)
     V, Vp = sol.sol(ys)
     if len(sol.t_events[0]):
         y_c = float(sol.t_events[0][0])
         slope = float(sol.y_events[0][0][1])
-        outcome = CASE_III if slope < -controls.slope_tol else CASE_II
+        outcome = CASE_III if slope < -SLOPE_TOL else CASE_II
         return ShootResult(outcome=outcome, c=c, delta=delta, y_c=y_c,
                            terminal_slope=slope, y=ys, V=V, Vp=Vp)
     return ShootResult(outcome=CASE_I, c=c, delta=delta, y_c=None,
@@ -222,9 +214,8 @@ def engler_transform(result: ShootResult, m: float) -> WaveProfile:
     return WaveProfile(c=result.c, x_c=x_c, x=xs, U=Us, u_of_x=u_of_x)
 
 
-def find_compact_support_speed(g: Callable, delta: float,
-                               controls: Optional[ShootControls] = None
-                               ) -> SpeedCertificate:
+def find_compact_support_speed(g: Callable,
+                               delta: float) -> SpeedCertificate:
     """Halve c from 1 until the ignition-truncated shot is case iii.
 
     The returned certificate carries both the truncated-g shot and the
@@ -234,11 +225,11 @@ def find_compact_support_speed(g: Callable, delta: float,
     c = 1.0
     for _ in range(41):
         try:
-            res = shoot(c, delta, g_tilde, controls)
+            res = shoot(c, delta, g_tilde)
         except NonTermination:
             res = None
         if res is not None and res.outcome == CASE_III:
-            full = shoot(c, delta, g, controls)
+            full = shoot(c, delta, g)
             if full.outcome != CASE_III:
                 raise SearchExhausted(
                     "full-g shot at the candidate speed is not case iii")

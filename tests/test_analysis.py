@@ -143,25 +143,25 @@ def test_polynomial_exponent_recovered_exactly():
 
 
 def test_polynomial_fit_rejects_early_windows():
-    t = np.linspace(0.2, 5.0, 40)
+    # the final third starts at t = 0.2 + 26 * 0.025 = 0.85, before t = 1
+    t = np.linspace(0.2, 1.175, 40)
+    assert t[-14] < 1.0 <= t[-1]
     with pytest.raises(DomainError):
-        fit_polynomial_exponent(make_trace(t, t + 1.0), window=1.0)
+        fit_polynomial_exponent(make_trace(t, t + 1.0))
 
 
 def test_fits_reject_nonpositive_positions():
+    # positions fall through zero inside the final third
     t = np.linspace(0.0, 10.0, 40)
     with pytest.raises(DegenerateFit):
-        fit_exponential_rate(make_trace(t, t - 5.0), window=1.0)
+        fit_exponential_rate(make_trace(t, 8.0 - t))
     t2 = np.linspace(1.0, 10.0, 40)
     with pytest.raises(DegenerateFit):
-        fit_polynomial_exponent(make_trace(t2, t2 - 5.0), window=1.0)
+        fit_polynomial_exponent(make_trace(t2, 8.0 - t2))
 
 
 def test_fit_window_validation():
     t = np.linspace(0.0, 10.0, 40)
-    trace = make_trace(t, np.exp(t))
-    with pytest.raises(DomainError):
-        fit_exponential_rate(trace, window=0.0)
     with pytest.raises(DomainError):
         fit_exponential_rate(make_trace(t[:5], np.exp(t[:5])))
 

@@ -6,6 +6,7 @@ import math
 import os
 import stat
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,39 @@ def test_shoot_reports_the_outcome(capsys):
     assert doc["outcome"] == "case-iii"
     assert doc["y_c"] > 0.0
     assert doc["terminal_slope"] < 0.0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--c", "nan"], ["--c", "inf"], ["--c", "1", "--y-max", "nan"],
+    ["--c", "1", "--y-max", "0"], ["--c", "1", "--y-max", "-1"],
+], ids=["c-nan", "c-inf", "y-max-nan", "y-max-0", "y-max-negative"])
+def test_shoot_rejects_a_speed_or_window_that_cannot_work(capsys, flags):
+    # NaN used to integrate without end, the rest to exit 3
+    assert main(["shoot", *flags, "--m", "0.5", "--alpha", "8",
+                 "--beta", "1"]) == 2
+    assert capsys.readouterr().err.startswith("frontlab: ")
+
+
+def test_shoot_accepts_an_unbounded_window(capsys):
+    assert main(["shoot", "--c", "10", "--m", "2", "--alpha", "8",
+                 "--beta", "1", "--y-max", "inf"]) == 0
+    assert last_json(capsys)["outcome"] == "case-i"
+
+
+def test_construct_and_wave_write_files_only_with_out(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    construct = ["construct", "--kind", "pme-bump", "--m", "2", "--alpha",
+                 "2", "--beta", "1.25"]
+    wave = ["wave", "--c", "1", "--m", "0.5", "--alpha", "8", "--beta", "1"]
+    assert main(construct) == 0
+    assert main(wave) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert main(construct + ["--out", "."]) == 0
+    assert main(wave + ["--out", "."]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "construct_manifest.json", "construct_pme-bump.json",
+        "wave_manifest.json", "wave_profile.csv"]
 
 
 def test_wave_emits_the_profile_table(tmp_path, capsys):
@@ -551,3 +585,26 @@ def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):
     assert last_json(capsys)["rows"] == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines == ["m,alpha,beta,regime,gamma,exponent,label,status"]
+
+
+# sha256 of report.json and trace.csv from `experiment` on a shipped config;
+# fde_kpp is left out, since its fast-diffusion run depends on u_min
+GOLDEN_EXPERIMENTS = {
+    "noacc": (
+        "4616ae5b8965b9d68bb557e9f1a61fa236fc82f52c6b0c1c51aa53a22e9b6ea2",
+        "cff4b2ab401c877c048190a3306d269e3778c3203cf1a12e3977593310ac6493"),
+    "pme_poly": (
+        "ddf8c5d26c80f90e8ff155c9a6aaefaca39a2ebdeeb5dcd327ca332a7ce7b8a2",
+        "14efeb324970a4fb80e50450603ff65396c1031d4640ec4e210cc19ccaf5184c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENTS))
+def test_experiment_on_a_shipped_config_matches_the_golden_hashes(
+        tmp_path, capsys, name):
+    config = resources.files("frontlab") / "configs" / f"{name}.json"
+    assert main(["experiment", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("report.json", "trace.csv"))
+    assert digests == GOLDEN_EXPERIMENTS[name]

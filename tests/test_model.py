@@ -85,22 +85,22 @@ def test_reaction_respects_certified_bounds(beta, r, bump, s0):
     p = make_params(beta=beta, r=r, r_bar=r + bump, s0=s0)
     fn = default_reaction(p)
     s = np.linspace(0.0, 1.0, 501)
-    f = fn.fn(s)
+    f = fn(s)
     # upper bound r_bar s^beta everywhere
     assert np.all(f <= p.r_bar * s ** beta + 1e-12)
-    # lower bound rate s^beta on [0, s0]
-    rate = fn.lower[0]
+    # lower bound r (1-s0) s^beta on [0, s0], since 1-s >= 1-s0 there
+    rate = r * (1.0 - s0)
     low = s[s <= s0]
-    assert np.all(fn.fn(low) >= rate * low ** beta - 1e-12)
+    assert np.all(fn(low) >= rate * low ** beta - 1e-12)
 
 
 def test_default_reaction_meets_its_declared_bounds_on_a_dense_sample():
     p = make_params(beta=1.25)
     f = default_reaction(p)
-    rate_lo, beta_lo, s0 = f.lower
-    rate_up, beta_up = f.upper
+    rate_lo, beta_lo, s0 = p.r * (1.0 - p.s0), p.beta, p.s0
+    rate_up, beta_up = p.r_bar, p.beta
     s = np.linspace(0.0, 1.0, 20000)
-    vals = np.asarray(f.fn(s), dtype=float)
+    vals = np.asarray(f(s), dtype=float)
     low = s <= s0
     assert np.min(vals[low] - rate_lo * s[low] ** beta_lo) >= 0.0
     assert np.min(rate_up * s ** beta_up - vals) >= 0.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frontlab.errors import DomainError, RegimeMismatch
-from frontlab.model import ModelParams
+from frontlab.model import ModelParams, default_reaction
 from frontlab.regimes import (
     KINDS,
     NUMBER_FIELD,
@@ -18,6 +18,7 @@ from frontlab.regimes import (
     gamma_effective,
     linear_speed_bound,
 )
+from frontlab.waves import find_compact_support_speed, g_fn
 
 
 def make_params(m, alpha, beta, **over):
@@ -320,9 +321,11 @@ def test_lower_only_upper_exponent():
 
 
 def test_infinite_speed_has_only_linear_floor():
-    env = envelopes(make_params(0.5, 3.0, 1.4), epsilon=0.1, c0=0.25)
+    p = make_params(0.5, 3.0, 1.4)
+    env = envelopes(p, epsilon=0.1)
+    c0 = find_compact_support_speed(g_fn(0.5, default_reaction(p)), 0.5).c0
     assert env.upper is None
-    assert env.lower(4.0) == pytest.approx(1.0)
+    assert env.lower(4.0) == pytest.approx(4.0 * c0)
     assert env.lower_desc["kind"] == "linear"
 
 
