@@ -1,12 +1,17 @@
 """Batch front-end.
 
 Subcommands: classify, construct, shoot, wave, simulate, analyze,
-experiment, sweep. Outputs are JSON documents and CSV tables under --out,
-the working directory by default; construct and wave write files only when
-given --out. Each is streamed chunk by chunk (one CSV row at a time) into
-a temp file beside its target, created with the mode open() would give it
-(0666 less the umask), and renamed over it after the last chunk, so a
-reader never sees a partial artifact and memory is bounded by one row. Each
+experiment, sweep. Each takes only the flags it reads; any other flag exits
+2. --config, the JSON config document, is required by simulate, analyze and
+experiment and taken by no other command. --json, compact single-line JSON
+on stdout, is taken only by construct, analyze and experiment, which
+pretty-print without it. classify and shoot write no files. The other
+commands write JSON documents and CSV tables under --out, the working
+directory by default; construct and wave write files only when given --out.
+Each file is streamed chunk by chunk (one CSV row at a time) into a temp
+file beside its target, created with the mode open() would give it (0666
+less the umask), and renamed over it after the last chunk, so a reader
+never sees a partial artifact and memory is bounded by one row. Each
 command also writes a run manifest: the subcommand, the input config and
 the sha256 of its canonical JSON, the output paths and the wall-clock
 time. It holds no hash of the outputs, so it records what ran, not which
@@ -118,30 +123,35 @@ def _emit_manifest(args, config_doc: dict, outputs, t0: float) -> None:
     _write_json(Path(args.out) / f"{args.command}_manifest.json", asdict(man))
 
 
-def _parse_alpha(text: str) -> float:
-    return math.inf if text == "inf" else float(text)
-
-
 def _params_from_args(args) -> ModelParams:
-    if args.config is not None:
-        return params_from_dict(read_config(args.config))
-    if args.m is None or args.alpha is None or args.beta is None:
-        raise DomainError("need --m, --alpha and --beta (or --config)")
-    return ModelParams(m=args.m, alpha=_parse_alpha(args.alpha),
-                       beta=args.beta, r=args.r, r_bar=args.r_bar,
-                       C=args.C, C_bar=args.C_bar, s0=args.s0, x0=args.x0)
+    return ModelParams(m=args.m, alpha=args.alpha, beta=args.beta, r=args.r,
+                       r_bar=args.r_bar, C=args.C, C_bar=args.C_bar,
+                       s0=args.s0, x0=args.x0)
 
 
-def _add_param_flags(sp, required: bool = False) -> None:
-    sp.add_argument("--m", type=float, required=required)
-    sp.add_argument("--alpha", type=str, required=required)
-    sp.add_argument("--beta", type=float, required=required)
-    sp.add_argument("--r", type=float, default=1.0)
-    sp.add_argument("--r-bar", dest="r_bar", type=float, default=1.0)
-    sp.add_argument("--C", type=float, default=1.0)
-    sp.add_argument("--C-bar", dest="C_bar", type=float, default=1.0)
-    sp.add_argument("--s0", type=float, default=0.5)
-    sp.add_argument("--x0", type=float, default=2.0)
+def _add_param_flags(sp, constants: bool = True) -> None:
+    # float reads "inf" for --alpha, and argparse turns a word into exit 2
+    for flag in ("--m", "--alpha", "--beta"):
+        sp.add_argument(flag, type=float, required=True)
+    if constants:
+        sp.add_argument("--r", type=float, default=1.0)
+        sp.add_argument("--r-bar", dest="r_bar", type=float, default=1.0)
+        sp.add_argument("--C", type=float, default=1.0)
+        sp.add_argument("--C-bar", dest="C_bar", type=float, default=1.0)
+        sp.add_argument("--s0", type=float, default=0.5)
+        sp.add_argument("--x0", type=float, default=2.0)
+
+
+def _add_io_flags(sp, out: Optional[Path], config: bool = False,
+                  as_json: bool = False) -> None:
+    if config:
+        sp.add_argument("--config", type=Path, required=True,
+                        help="JSON config document")
+    sp.add_argument("--out", type=Path, default=out,
+                    help="output directory for artifacts")
+    if as_json:
+        sp.add_argument("--json", dest="as_json", action="store_true",
+                        help="compact single-line JSON on stdout")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +255,7 @@ def _experiment_section(doc: dict) -> dict:
 # subcommands
 
 def _cmd_classify(args) -> int:
-    kind = classify(args.m, _parse_alpha(args.alpha), args.beta)
+    kind = classify(args.m, args.alpha, args.beta)
     doc = {"regime": kind.regime.value}
     if kind.gamma is not None:
         doc["gamma"] = kind.gamma
@@ -335,8 +345,6 @@ def _cmd_wave(args) -> int:
 
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    if args.config is None:
-        raise DomainError("simulate needs --config")
     doc = read_config(args.config)
     bundle = bundle_from_dict(doc)
     cfg = _solver_config_from(doc)
@@ -398,8 +406,6 @@ def _analyze_traj(traj: SolutionTrajectory, params: ModelParams,
 
 def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    if args.config is None:
-        raise DomainError("analyze needs --config")
     doc = read_config(args.config)
     params = params_from_dict(doc)
     traj = read_trajectory_csv(args.traj)
@@ -413,8 +419,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_experiment(args) -> int:
     t0 = time.perf_counter()
-    if args.config is None:
-        raise DomainError("experiment needs --config")
     doc = read_config(args.config)
     bundle = bundle_from_dict(doc)
     cfg = _solver_config_from(doc)
@@ -491,56 +495,54 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontlab",
         description="Front propagation lab for du/dt = (u^m)_xx + f(u)")
-    # construct and wave write files only when given --out; the other
-    # commands write into the working directory by default
-    common = argparse.ArgumentParser(add_help=False)
-    opt_out = argparse.ArgumentParser(add_help=False)
-    for pp, out in ((common, Path(".")), (opt_out, None)):
-        pp.add_argument("--config", type=Path, default=None,
-                        help="JSON config document")
-        pp.add_argument("--out", type=Path, default=out,
-                        help="output directory for artifacts")
-        pp.add_argument("--json", dest="as_json", action="store_true",
-                        help="compact single-line JSON on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify", parents=[common],
+    sp = sub.add_parser("classify",
                         help="locate (m, alpha, beta) in the phase diagram")
-    _add_param_flags(sp, required=True)
+    _add_param_flags(sp, constants=False)
     sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("construct", parents=[opt_out],
+    # construct and wave write files only when given --out; simulate,
+    # analyze, experiment and sweep write into the working directory by
+    # default
+    sp = sub.add_parser("construct",
                         help="build a certified sub/supersolution")
     sp.add_argument("--kind", choices=_CONSTRUCT_KINDS, required=True)
     sp.add_argument("--epsilon", type=float, default=0.1)
     _add_param_flags(sp)
+    _add_io_flags(sp, None, as_json=True)
     sp.set_defaults(func=_cmd_construct)
 
     for name, fn in (("shoot", _cmd_shoot), ("wave", _cmd_wave)):
-        sp = sub.add_parser(name, parents=[opt_out])
+        sp = sub.add_parser(name)
         sp.add_argument("--c", type=float, required=True)
         sp.add_argument("--delta", type=float, default=0.5)
         sp.add_argument("--truncate", action="store_true",
                         help="ignition-truncate the reaction below delta/2")
         sp.add_argument("--y-max", dest="y_max", type=float, default=None)
         _add_param_flags(sp)
+        if name == "wave":
+            _add_io_flags(sp, None)
         sp.set_defaults(func=fn)
 
-    sp = sub.add_parser("simulate", parents=[common],
+    sp = sub.add_parser("simulate",
                         help="run the PDE and write the trajectory CSV")
+    _add_io_flags(sp, Path("."), config=True)
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("analyze", parents=[common],
+    sp = sub.add_parser("analyze",
                         help="track a level set in a saved trajectory")
     sp.add_argument("--traj", type=Path, required=True)
     sp.add_argument("--level", type=float, default=0.5)
+    _add_io_flags(sp, Path("."), config=True, as_json=True)
     sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("experiment", parents=[common],
+    sp = sub.add_parser("experiment",
                         help="simulate, track, fit, and check envelopes")
+    _add_io_flags(sp, Path("."), config=True, as_json=True)
     sp.set_defaults(func=_cmd_experiment)
 
-    sp = sub.add_parser("sweep", parents=[common],
+    sp = sub.add_parser("sweep",
                         help="classify a grid of (alpha, beta) cells")
     sp.add_argument("--m", type=float, required=True)
     sp.add_argument("--alpha-min", type=float, required=True)
@@ -549,6 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta-min", type=float, required=True)
     sp.add_argument("--beta-max", type=float, required=True)
     sp.add_argument("--beta-steps", type=int, required=True)
+    _add_io_flags(sp, Path("."))
     sp.set_defaults(func=_cmd_sweep)
     return parser
 

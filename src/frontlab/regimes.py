@@ -183,7 +183,6 @@ class Envelope:
     lower: Callable[[np.ndarray], np.ndarray]
     upper: Optional[Callable[[np.ndarray], np.ndarray]]
     T: float
-    epsilon: float
     lower_desc: dict
     upper_desc: Optional[dict]
 
@@ -257,7 +256,7 @@ def envelopes(params: ModelParams,
 
     return Envelope(lower=_desc_fn(lo),
                     upper=None if hi is None else _desc_fn(hi),
-                    T=T, epsilon=eps, lower_desc=lo, upper_desc=hi)
+                    T=T, lower_desc=lo, upper_desc=hi)
 
 
 def linear_speed_bound(params: ModelParams) -> float:

@@ -15,7 +15,6 @@ system, a failed solve and a non-finite solution.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,10 +42,8 @@ class SolverConfig:
     t_end: float = 1.0
     snapshots: tuple = ()
     right: str = "analytic-clamp"
-    right_value: Optional[Callable] = None   # t -> Dirichlet value at x_R
     u_min: float = 1e-12
     reaction_on: bool = True
-    grid: Optional[Grid] = None
 
     def __post_init__(self):
         if self.right not in _RIGHT:
@@ -77,9 +74,6 @@ class SolutionTrajectory:
     fields: tuple
     dt_history: np.ndarray
     max_residual: float
-
-    def values(self, i: int) -> np.ndarray:
-        return self.fields[i].values
 
 
 @dataclass(frozen=True)
@@ -151,14 +145,16 @@ def solve_banded(grid: Grid, a: np.ndarray, dt: float, rate_w: np.ndarray,
     return delta
 
 
-def step(field: Field, dt: float, config: SolverConfig,
-         params: ModelParams) -> Field:
-    """Advance one time step; the result is clamped to [0, 1] and read-only."""
+def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
+         params: ModelParams, clamp: Optional[Callable] = None) -> Field:
+    """Advance one time step; the result is clamped to [0, 1] and read-only.
+
+    Under the analytic-clamp policy the right node takes ``clamp(t)`` (a
+    t -> value map, cut to [0, 1]) at the new time, or keeps its value
+    without one.
+    """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
-    if config.grid is None:
-        raise DomainError("config.grid is required for stepping")
-    grid = config.grid
     u = field.values
     m = params.m
     # rate / w = K u^m + f / w, so K u^m is never scaled by w and back
@@ -175,8 +171,8 @@ def step(field: Field, dt: float, config: SolverConfig,
     if config.right == "zero-value":
         new[-1] = 0.0
     elif config.right == "analytic-clamp":
-        if config.right_value is not None:
-            new[-1] = min(1.0, max(0.0, float(config.right_value(t_new))))
+        if clamp is not None:
+            new[-1] = min(1.0, max(0.0, float(clamp(t_new))))
         else:
             new[-1] = u[-1]
     new.setflags(write=False)
@@ -220,30 +216,29 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     when the regime carries an upper envelope. Raises DomainExhausted the
     moment the 0.5-level set comes within 10 cells of the right edge.
     """
-    cfg = dataclasses.replace(config, grid=grid)
-    if cfg.reaction_on:
+    clamp = None
+    if config.reaction_on:
         kind = classify(params.m, params.alpha, params.beta)
         if kind.regime in _UPPER_REGIMES:
             env = envelopes(params)
             if env.upper is not None:
-                x_need = 1.25 * float(env.upper(cfg.t_end))
+                x_need = 1.25 * float(env.upper(config.t_end))
                 if grid.x[-1] < x_need:
                     raise DomainError(
                         f"grid right edge {grid.x[-1]:.4g} is below 1.25x "
                         f"the predicted front position {x_need:.4g}")
-        if cfg.right == "analytic-clamp" and cfg.right_value is None:
-            cfg = dataclasses.replace(
-                cfg, right_value=_tail_clamp(params, kind, float(grid.x[-1])))
+        if config.right == "analytic-clamp":
+            clamp = _tail_clamp(params, kind, float(grid.x[-1]))
 
-    schedule = cfg.snapshots
+    schedule = config.snapshots
     if not schedule:
-        schedule = tuple(np.linspace(0.0, cfg.t_end, 11)[1:])
+        schedule = tuple(np.linspace(0.0, config.t_end, 11)[1:])
     # from t = 0 on, so no snapshot repeats the one before it
     if any(b - a <= _TIME_TOL for a, b in zip((0.0,) + schedule, schedule)):
         raise DomainError("snapshot schedule must be positive and strictly "
                           f"increasing, each time more than {_TIME_TOL:g} "
                           "after the one before it")
-    if schedule[-1] > cfg.t_end + _TIME_TOL:
+    if schedule[-1] > config.t_end + _TIME_TOL:
         raise DomainError("snapshot schedule exceeds t_end")
 
     vals0 = np.clip(np.asarray(u0(grid.x), dtype=float), 0.0, 1.0)
@@ -258,9 +253,9 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     for target in schedule:
         prev_vals, last_dt = None, None
         while fld.t < target - _TIME_TOL:
-            dt = min(cfg.dt, target - fld.t)
+            dt = min(config.dt, target - fld.t)
             prev_vals = fld.values
-            fld = step(fld, dt, cfg, params)
+            fld = step(fld, dt, grid, config, params, clamp)
             last_dt = dt
             dts.append(dt)
         fld = field_build(fld.values, target)
@@ -268,7 +263,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
         times.append(target)
         if prev_vals is not None:
             f_now = (reaction_eval(params, fld.values)
-                     if cfg.reaction_on else 0.0)
+                     if config.reaction_on else 0.0)
             r = ((fld.values - prev_vals) / last_dt
                  - _second_diff(grid, fld.values ** m) - f_now)
             max_resid = max(max_resid, float(np.abs(r[1:-1]).max()))

@@ -62,7 +62,7 @@ class WaveProfile:
     x_c: float
     x: np.ndarray
     U: np.ndarray
-    u_of_x: Optional[Callable] = None
+    u_of_x: Callable
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frontlab
 from frontlab.cli import (_atomic_write, main, read_trajectory_csv,
                           write_trajectory_csv)
 from frontlab.errors import DomainError
@@ -76,11 +79,70 @@ def test_classify_demands_its_flags():
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--m", "2", "--alpha", "abc", "--beta", "1.25"],
+    ["construct", "--kind", "right-tail", "--m", "2", "--alpha", "abc",
+     "--beta", "1.25"],
+], ids=["classify", "construct"])
+def test_a_word_for_alpha_is_a_usage_error(argv):
+    src = Path(frontlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "frontlab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "invalid float value: 'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# each command takes only the flags it reads; CFG and OUT stand for a
+# config file and an output directory
+_BASE_ARGV = {
+    "classify": ["classify", "--m", "2", "--alpha", "2", "--beta", "1.25"],
+    "construct": ["construct", "--kind", "pme-bump", "--m", "2", "--alpha",
+                  "2", "--beta", "1.25"],
+    "shoot": ["shoot", "--c", "1", "--m", "0.5", "--alpha", "8", "--beta",
+              "1"],
+    "wave": ["wave", "--c", "1", "--m", "0.5", "--alpha", "8", "--beta", "1"],
+    "simulate": ["simulate", "--config", "CFG", "--out", "OUT"],
+    "sweep": ["sweep", "--m", "2", "--alpha-min", "1", "--alpha-max", "2",
+              "--alpha-steps", "2", "--beta-min", "1", "--beta-max", "2",
+              "--beta-steps", "2", "--out", "OUT"],
+}
+_FOREIGN_FLAGS = [
+    ("classify", ["--config", "CFG"]), ("classify", ["--out", "OUT"]),
+    ("classify", ["--json"]), ("classify", ["--r", "5"]),
+    ("classify", ["--r-bar", "5"]), ("classify", ["--C", "2"]),
+    ("classify", ["--C-bar", "2"]), ("classify", ["--s0", "0.7"]),
+    ("classify", ["--x0", "3"]),
+    ("construct", ["--config", "CFG"]),
+    ("shoot", ["--config", "CFG"]), ("shoot", ["--out", "OUT"]),
+    ("shoot", ["--json"]),
+    ("wave", ["--config", "CFG"]), ("wave", ["--json"]),
+    ("simulate", ["--json"]),
+    ("sweep", ["--config", "CFG"]), ("sweep", ["--json"]),
+]
+
+
+@pytest.mark.parametrize("command,flag", _FOREIGN_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in _FOREIGN_FLAGS])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command,
+                                                   flag):
+    where = {"CFG": str(tiny_config(tmp_path)), "OUT": str(tmp_path / "out")}
+    argv = [where.get(a, a) for a in _BASE_ARGV[command] + flag]
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
 # --- exit code mapping -----------------------------------------------------------
 
 def test_domain_errors_exit_2(tmp_path, capsys):
     assert main(["classify", "--m", "-1", "--alpha", "2", "--beta", "2"]) == 2
-    assert main(["simulate"]) == 2  # simulate needs --config
+    with pytest.raises(SystemExit) as ei:
+        main(["simulate"])  # simulate requires --config
+    assert ei.value.code == 2
+    capsys.readouterr()
     for alpha_steps, beta_steps in (("-1", "3"), ("3", "-1")):
         assert main(["sweep", "--m", "2", "--alpha-min", "1",
                      "--alpha-max", "2", "--alpha-steps", alpha_steps,

@@ -54,8 +54,8 @@ def test_heat_equation_conserves_mass_with_closed_ends():
                        reaction_on=False)
     traj = simulate(u0, grid, cfg, p)
     w = lumped_weights(grid)
-    m0 = float(w @ traj.values(0))
-    m1 = float(w @ traj.values(-1))
+    m0 = float(w @ traj.fields[0].values)
+    m1 = float(w @ traj.fields[-1].values)
     assert abs(m1 - m0) <= 1e-10 * m0
 
 
@@ -85,8 +85,8 @@ def test_fast_diffusion_tail_amplitude_oracle():
                        reaction_on=False)
     traj = simulate(u0, grid, cfg, p)
     sel = (grid.x >= 60.0) & (grid.x <= 250.0)
-    amp_half = traj.values(1)[sel] * grid.x[sel] ** 4
-    amp_one = traj.values(2)[sel] * grid.x[sel] ** 4
+    amp_half = traj.fields[1].values[sel] * grid.x[sel] ** 4
+    amp_one = traj.fields[2].values[sel] * grid.x[sel] ** 4
     assert np.all(np.abs(amp_one / 9.0 - 1.0) < 0.08)
     # quadratic-in-time growth: A(1)/A(0.5) = 4
     ratio = amp_one / amp_half
@@ -202,10 +202,9 @@ def test_infinite_diffusivity_is_a_stability_failure():
     grid = grid_build("uniform", -5.0, 20.0, 100)
     vals = initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x)
     vals[-1] = 0.0
-    cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value",
-                       grid=grid)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value")
     with pytest.raises(StabilityFailure):
-        step(field_build(vals, 0.0), cfg.dt, cfg, p)
+        step(field_build(vals, 0.0), cfg.dt, grid, cfg, p)
 
 
 def test_zero_diffusivity_is_a_stability_failure():
@@ -215,10 +214,9 @@ def test_zero_diffusivity_is_a_stability_failure():
     grid = grid_build("uniform", -5.0, 20.0, 100)
     vals = initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x)
     vals[-1] = 0.0
-    cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value",
-                       grid=grid)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value")
     with pytest.raises(StabilityFailure, match="u_min"):
-        step(field_build(vals, 0.0), cfg.dt, cfg, p)
+        step(field_build(vals, 0.0), cfg.dt, grid, cfg, p)
 
 
 def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
@@ -230,10 +228,10 @@ def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
     monkeypatch.setattr(solver_module, "dptsv", overflowing_dptsv)
     p = make_params(2.0, 2.0, 1.25)
     grid = grid_build("uniform", -5.0, 20.0, 100)
-    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value", grid=grid)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value")
     fld = field_build(initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x), 0.0)
     with pytest.raises(StabilityFailure, match="non-finite"):
-        step(fld, cfg.dt, cfg, p)
+        step(fld, cfg.dt, grid, cfg, p)
 
 
 def test_nan_update_is_a_stability_failure():
@@ -244,28 +242,21 @@ def test_nan_update_is_a_stability_failure():
     vals = initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x)
     vals[40] = np.nan
     cfg = SolverConfig(dt=1e-4, t_end=1.0, right="zero-value",
-                       reaction_on=False, grid=grid)
+                       reaction_on=False)
     with pytest.raises(StabilityFailure):
-        step(Field(values=vals, t=0.0), cfg.dt, cfg, p)
+        step(Field(values=vals, t=0.0), cfg.dt, grid, cfg, p)
 
 
 def test_semi_implicit_step_returns_a_read_only_field():
     p = make_params(0.5, 8.0, 1.0)
     grid = grid_build("uniform", -5.0, 20.0, 100)
-    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value", grid=grid)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value")
     fld = field_build(initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x), 0.0)
-    out = step(fld, cfg.dt, cfg, p)
+    out = step(fld, cfg.dt, grid, cfg, p)
     assert out.t == cfg.dt and type(out.t) is float
     assert np.all((out.values >= 0.0) & (out.values <= 1.0))
     with pytest.raises(ValueError):
         out.values[0] = 0.5
-
-
-def test_step_requires_a_grid():
-    p = make_params(2.0, 2.0, 1.25)
-    fld = field_build(np.full(8, 0.25), 0.0)
-    with pytest.raises(DomainError):
-        step(fld, 1e-3, SolverConfig(), p)
 
 
 def test_snapshot_schedule_is_validated():
@@ -320,7 +311,7 @@ def test_zero_value_policy_pins_right_node():
     cfg = SolverConfig(dt=1e-2, t_end=1.0, snapshots=(1.0,),
                        right="zero-value")
     traj = simulate(u0, grid, cfg, p)
-    assert traj.values(-1)[-1] == 0.0
+    assert traj.fields[-1].values[-1] == 0.0
 
 
 def test_analytic_clamp_grows_the_edge_value():
@@ -479,8 +470,8 @@ def test_solve_matches_the_dense_system_on_random_grids(grid, right, dt,
 def test_a_step_keeps_the_density_in_the_unit_interval(grid, right, dt, m,
                                                        data):
     u = data.draw(unit_values(grid.x.size))
-    cfg = SolverConfig(dt=dt, right=right, grid=grid)
-    out = step(field_build(u, 0.0), dt, cfg, make_params(m, 2.0, 1.25))
+    cfg = SolverConfig(dt=dt, right=right)
+    out = step(field_build(u, 0.0), dt, grid, cfg, make_params(m, 2.0, 1.25))
     assert np.all((out.values >= 0.0) & (out.values <= 1.0))
 
 
@@ -494,8 +485,8 @@ def test_ordered_data_give_ordered_steps(grid, right, dt, data):
     # even under the explicit stability bound, so they are not drawn here.
     lo = data.draw(unit_values(grid.x.size))
     hi = np.minimum(lo + data.draw(unit_values(grid.x.size)), 1.0)
-    cfg = SolverConfig(dt=dt, right=right, grid=grid)
+    cfg = SolverConfig(dt=dt, right=right)
     p = make_params(1.0, 2.0, 1.25)
-    below = step(field_build(lo, 0.0), dt, cfg, p).values
-    above = step(field_build(hi, 0.0), dt, cfg, p).values
+    below = step(field_build(lo, 0.0), dt, grid, cfg, p).values
+    above = step(field_build(hi, 0.0), dt, grid, cfg, p).values
     assert np.all(below <= above + 1e-12)
