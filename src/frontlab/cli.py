@@ -310,7 +310,11 @@ def _cmd_construct(args) -> int:
 
 
 def _shoot_setup(args):
-    params = _params_from_args(args)
+    # a shot reads only m, beta and r; the fields it does not read take
+    # values that pass their checks, so m, beta and r keep ModelParams'
+    # messages
+    params = ModelParams(m=args.m, alpha=math.inf, beta=args.beta, r=args.r,
+                         r_bar=args.r, C=1.0, C_bar=1.0, s0=0.5, x0=2.0)
     g = waves.g_fn(params.m, default_reaction(params))
     if args.truncate:
         g = waves.ignition_truncate(g, args.delta)
@@ -334,9 +338,11 @@ def _cmd_wave(args) -> int:
     if args.out is not None:
         path = Path(args.out) / "wave_profile.csv"
         _write_csv(path, ("x", "U"), zip(prof.x, prof.U))
-        _emit_manifest(args, {"m": params.m, "c": args.c,
+        _emit_manifest(args, {"m": params.m, "beta": params.beta,
+                              "r": params.r, "c": args.c,
                               "delta": args.delta,
-                              "truncate": args.truncate}, [path], t0)
+                              "truncate": args.truncate,
+                              "y_max": args.y_max}, [path], t0)
     doc = {"c": prof.c, "x_c": prof.x_c, "n": int(prof.x.size),
            "outcome": res.outcome}
     print(_dump_json(doc, compact=True))
@@ -520,7 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--truncate", action="store_true",
                         help="ignition-truncate the reaction below delta/2")
         sp.add_argument("--y-max", dest="y_max", type=float, default=None)
-        _add_param_flags(sp)
+        sp.add_argument("--m", type=float, required=True)
+        sp.add_argument("--beta", type=float, required=True)
+        sp.add_argument("--r", type=float, default=1.0)
         if name == "wave":
             _add_io_flags(sp, None)
         sp.set_defaults(func=fn)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StabilityFailure
 
 # Decay rate of the light-tail variant (alpha = inf). Two is the classical
 # steepness threshold for linear diffusion, so these data spread at speed
@@ -81,7 +81,11 @@ def default_reaction(params: ModelParams) -> Callable:
 
     def f(s):
         s = np.asarray(s, dtype=float)
-        return r * s ** beta * (1.0 - s)
+        # (r s^beta)(1-s) in place, in the order the formula reads
+        out = s ** beta
+        out *= r
+        out *= 1.0 - s
+        return out
     return f
 
 
@@ -236,6 +240,27 @@ class Grid:
         for arr in (inv_h, w, inv_sum):
             arr.setflags(write=False)
         return Stencil(inv_h=inv_h, w=w, inv_sum=inv_sum)
+
+    def dt_system(self, dt: float, k: int) -> tuple:
+        """(dt*inv_sum[:k], -dt/h over the first k-1 cells): the dt-only
+        parts of a step's system on the first k nodes, checked finite once
+        and kept read-only until a step asks for another (dt, k)."""
+        kept = self.__dict__.get("_dt_system")
+        if kept is None or kept[0] != (dt, k):
+            st = self.stencil
+            # an overflow is reported below as a typed failure, not a warning
+            with np.errstate(over="ignore"):
+                diag = dt * st.inv_sum[:k]
+                off = np.multiply(st.inv_h[:k - 1], -dt)
+            if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+                raise StabilityFailure(
+                    "semi-implicit system has non-finite entries")
+            diag.setflags(write=False)
+            off.setflags(write=False)
+            # the grid is frozen: like the stencil, the parts go straight
+            # into the instance dict
+            kept = self.__dict__["_dt_system"] = ((dt, k), (diag, off))
+        return kept[1]
 
 
 def grid_build(kind: str, x_left: float, x_right: float, n: int,

@@ -5,9 +5,11 @@ stepping at a fixed dt, zero-flux left boundary, and a right boundary held
 at an analytic growth clamp so the heavy tail is not truncated.
 
 Every stencil reads the grid's dt-independent factors (``Grid.stencil``,
-built once per grid on first use). Each step solves the symmetric form of
-its tridiagonal system with one LAPACK ``dptsv`` call (L D L^T, no
-pivoting), which needs a positive finite diffusivity m*u^(m-1) on every
+built once per grid on first use), and the system's dt-only parts are
+built once per grid and dt (``Grid.dt_system``). A step computes u^m, the
+reaction, the diffusivity and the rest of its system in place, and solves
+the symmetric form of the system with one LAPACK ``dptsv`` call (L D L^T,
+no pivoting), which needs a positive finite diffusivity m*u^(m-1) on every
 node: a zero one (m > 1) or an infinite one (m < 1), both from u_min = 0
 and a zero node, raises StabilityFailure, as do a non-finite entry in the
 system, a failed solve and a non-finite solution.
@@ -89,7 +91,7 @@ class ResidualReport:
 
 def _flux_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
     # K v: the difference of the fluxes diff(v)/h, zero beyond either end
-    flux = np.diff(v)
+    flux = np.subtract(v[1:], v[:-1])
     flux *= grid.stencil.inv_h
     out = np.empty_like(v)
     out[0] = flux[0]
@@ -121,25 +123,27 @@ def solve_banded(grid: Grid, a: np.ndarray, dt: float, rate_w: np.ndarray,
         raise StabilityFailure(
             "diffusivity m*u^(m-1) is zero, infinite or NaN; a zero node "
             "needs u_min > 0 unless m = 1")
-    st = grid.stencil
     n = a.size
     k = n if right == "zero-flux" else n - 1
-    # d, e and rhs are views of one buffer, so one scan guards them all
-    buf = np.empty(3 * k - 1)
-    d, e, rhs = buf[:k], buf[k:2 * k - 1], buf[2 * k - 1:]
-    np.multiply(st.w[:k], a[:k], out=d)
+    # the dt-only parts are built, checked and kept once per (grid, dt, k)
+    diag_dt, e = grid.dt_system(dt, k)
+    # d and rhs are views of one buffer, so one scan guards them both
+    buf = np.empty(2 * k)
+    d, rhs = buf[:k], buf[k:]
+    np.multiply(grid.stencil.w[:k], a[:k], out=d)
     np.divide(1.0, d, out=d)
-    d += dt * st.inv_sum[:k]
-    np.multiply(st.inv_h[:k - 1], -dt, out=e)
+    d += diag_dt
     np.multiply(rate_w[:k], dt, out=rhs)
     if not np.isfinite(buf).all():
         raise StabilityFailure("semi-implicit system has non-finite entries")
-    _, _, y, info = dptsv(d, e, rhs, 1, 1, 1)
+    # overwrite_e=0: LAPACK factors a copy and the kept e stays as it is
+    _, _, y, info = dptsv(d, e, rhs, 1, 0, 1)
     if info != 0:
         raise StabilityFailure(
             f"tridiagonal solve failed (LAPACK dptsv info={info})")
-    delta = np.zeros(n)
+    delta = np.empty(n)
     np.divide(y, a[:k], out=delta[:k])
+    delta[k:] = 0.0
     if not np.isfinite(delta).all():
         raise StabilityFailure("tridiagonal solve returned non-finite values")
     return delta
@@ -160,12 +164,19 @@ def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
     # rate / w = K u^m + f / w, so K u^m is never scaled by w and back
     rate_w = _flux_diff(grid, u ** m)
     if config.reaction_on:
-        rate_w += reaction_eval(params, u) / grid.stencil.w
-    # a zero or infinite diffusivity (u_min = 0 and a zero node) is left to
-    # solve_banded's guard rather than reported as a warning
+        f_w = reaction_eval(params, u)
+        f_w /= grid.stencil.w
+        rate_w += f_w
+    # a = m max(u, u_min)^(m-1); a zero or infinite diffusivity (u_min = 0
+    # and a zero node) is left to solve_banded's guard rather than reported
+    # as a warning
+    a = np.maximum(u, config.u_min)
     with np.errstate(divide="ignore", over="ignore"):
-        a = m * np.maximum(u, config.u_min) ** (m - 1.0)
-    new = u + solve_banded(grid, a, dt, rate_w, config.right)
+        a **= m - 1.0
+        a *= m
+    # u + delta, added into the delta that solve_banded returns
+    new = solve_banded(grid, a, dt, rate_w, config.right)
+    new += u
     np.clip(new, 0.0, 1.0, out=new)
     t_new = field.t + dt
     if config.right == "zero-value":

@@ -100,9 +100,8 @@ _BASE_ARGV = {
     "classify": ["classify", "--m", "2", "--alpha", "2", "--beta", "1.25"],
     "construct": ["construct", "--kind", "pme-bump", "--m", "2", "--alpha",
                   "2", "--beta", "1.25"],
-    "shoot": ["shoot", "--c", "1", "--m", "0.5", "--alpha", "8", "--beta",
-              "1"],
-    "wave": ["wave", "--c", "1", "--m", "0.5", "--alpha", "8", "--beta", "1"],
+    "shoot": ["shoot", "--c", "1", "--m", "0.5", "--beta", "1"],
+    "wave": ["wave", "--c", "1", "--m", "0.5", "--beta", "1"],
     "simulate": ["simulate", "--config", "CFG", "--out", "OUT"],
     "sweep": ["sweep", "--m", "2", "--alpha-min", "1", "--alpha-max", "2",
               "--alpha-steps", "2", "--beta-min", "1", "--beta-max", "2",
@@ -118,6 +117,10 @@ _FOREIGN_FLAGS = [
     ("shoot", ["--config", "CFG"]), ("shoot", ["--out", "OUT"]),
     ("shoot", ["--json"]),
     ("wave", ["--config", "CFG"]), ("wave", ["--json"]),
+    # a shot reads m, beta and r of the model, none of these
+    *((cmd, flag) for cmd in ("shoot", "wave")
+      for flag in (["--alpha", "8"], ["--r-bar", "2"], ["--C", "2"],
+                   ["--C-bar", "2"], ["--s0", "0.7"], ["--x0", "3"])),
     ("simulate", ["--json"]),
     ("sweep", ["--config", "CFG"]), ("sweep", ["--json"]),
 ]
@@ -155,8 +158,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
 def test_numerical_failure_exits_3():
     # g ~ s^2.25 decays too slowly for the origin event inside the default
     # integration window
-    assert main(["shoot", "--c", "10", "--m", "2", "--alpha", "2",
-                 "--beta", "1.25"]) == 3
+    assert main(["shoot", "--c", "10", "--m", "2", "--beta", "1.25"]) == 3
 
 
 def test_infinite_diffusivity_exits_3(tmp_path):
@@ -316,8 +318,7 @@ def test_construct_signs_a_supersolution_residual_from_below(tmp_path,
 # --- shoot / wave ----------------------------------------------------------------
 
 def test_shoot_reports_the_outcome(capsys):
-    rc = main(["shoot", "--c", "1", "--m", "0.5", "--alpha", "8",
-               "--beta", "1"])
+    rc = main(["shoot", "--c", "1", "--m", "0.5", "--beta", "1"])
     assert rc == 0
     doc = last_json(capsys)
     assert doc["outcome"] == "case-iii"
@@ -331,14 +332,13 @@ def test_shoot_reports_the_outcome(capsys):
 ], ids=["c-nan", "c-inf", "y-max-nan", "y-max-0", "y-max-negative"])
 def test_shoot_rejects_a_speed_or_window_that_cannot_work(capsys, flags):
     # NaN used to integrate without end, the rest to exit 3
-    assert main(["shoot", *flags, "--m", "0.5", "--alpha", "8",
-                 "--beta", "1"]) == 2
+    assert main(["shoot", *flags, "--m", "0.5", "--beta", "1"]) == 2
     assert capsys.readouterr().err.startswith("frontlab: ")
 
 
 def test_shoot_accepts_an_unbounded_window(capsys):
-    assert main(["shoot", "--c", "10", "--m", "2", "--alpha", "8",
-                 "--beta", "1", "--y-max", "inf"]) == 0
+    assert main(["shoot", "--c", "10", "--m", "2", "--beta", "1",
+                 "--y-max", "inf"]) == 0
     assert last_json(capsys)["outcome"] == "case-i"
 
 
@@ -347,7 +347,7 @@ def test_construct_and_wave_write_files_only_with_out(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     construct = ["construct", "--kind", "pme-bump", "--m", "2", "--alpha",
                  "2", "--beta", "1.25"]
-    wave = ["wave", "--c", "1", "--m", "0.5", "--alpha", "8", "--beta", "1"]
+    wave = ["wave", "--c", "1", "--m", "0.5", "--beta", "1"]
     assert main(construct) == 0
     assert main(wave) == 0
     assert list(tmp_path.iterdir()) == []
@@ -359,8 +359,8 @@ def test_construct_and_wave_write_files_only_with_out(tmp_path, capsys,
 
 
 def test_wave_emits_the_profile_table(tmp_path, capsys):
-    rc = main(["wave", "--c", "1", "--m", "0.5", "--alpha", "8",
-               "--beta", "1", "--out", str(tmp_path)])
+    rc = main(["wave", "--c", "1", "--m", "0.5", "--beta", "1",
+               "--out", str(tmp_path)])
     assert rc == 0
     doc = last_json(capsys)
     assert doc["outcome"] == "case-iii"
@@ -373,6 +373,25 @@ def test_wave_emits_the_profile_table(tmp_path, capsys):
     assert float(last[1]) == 0.0                  # compact support
     assert float(last[0]) == pytest.approx(doc["x_c"])
     assert (tmp_path / "wave_manifest.json").exists()
+
+
+def test_wave_manifest_records_every_input_of_the_shot(tmp_path, capsys):
+    # the profile depends on beta (and r, y_max): runs that write different
+    # profiles must not share an input hash
+    manifests = {}
+    for beta in ("1", "1.2"):
+        out = tmp_path / beta
+        assert main(["wave", "--c", "1", "--m", "0.5", "--beta", beta,
+                     "--out", str(out)]) == 0
+        manifests[beta] = json.loads(
+            (out / "wave_manifest.json").read_text())
+    assert ((tmp_path / "1" / "wave_profile.csv").read_bytes()
+            != (tmp_path / "1.2" / "wave_profile.csv").read_bytes())
+    assert (manifests["1"]["input_sha256"]
+            != manifests["1.2"]["input_sha256"])
+    assert manifests["1.2"]["config"] == {
+        "m": 0.5, "beta": 1.2, "r": 1.0, "c": 1.0, "delta": 0.5,
+        "truncate": False, "y_max": None}
 
 
 # --- simulate / analyze ------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dptsv
 
 from frontlab import solver as solver_module
 from frontlab.closedform import pme_bump_params
@@ -490,3 +491,127 @@ def test_ordered_data_give_ordered_steps(grid, right, dt, data):
     below = step(field_build(lo, 0.0), dt, grid, cfg, p).values
     above = step(field_build(hi, 0.0), dt, grid, cfg, p).values
     assert np.all(below <= above + 1e-12)
+
+
+# --- the step against its reference, bit for bit ----------------------------
+
+def oracle_step(field, dt, grid, config, params, clamp=None):
+    """The step as it read before its dt-only parts were kept on the grid
+    and its stages ran in place: the reference step must match bit for bit.
+
+    Returns the new values and time; raises what that step raised.
+    """
+    if not dt > 0.0:
+        raise DomainError("dt must be positive")
+    u = field.values
+    m = params.m
+    stencil = grid.stencil
+
+    def flux_diff(v):
+        flux = np.diff(v)
+        flux *= stencil.inv_h
+        out = np.empty_like(v)
+        out[0] = flux[0]
+        np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+        out[-1] = -flux[-1]
+        return out
+
+    rate_w = flux_diff(u ** m)
+    if config.reaction_on:
+        if not (u.min() >= 0.0 and u.max() <= 1.0):
+            raise DomainError("density outside [0,1]")
+        rate_w += params.r * u ** params.beta * (1.0 - u) / stencil.w
+    with np.errstate(divide="ignore", over="ignore"):
+        a = m * np.maximum(u, config.u_min) ** (m - 1.0)
+    if not (0.0 < a.min() and a.max() < math.inf):
+        raise StabilityFailure("diffusivity is zero, infinite or NaN")
+    n = a.size
+    k = n if config.right == "zero-flux" else n - 1
+    buf = np.empty(3 * k - 1)
+    d, e, rhs = buf[:k], buf[k:2 * k - 1], buf[2 * k - 1:]
+    np.multiply(stencil.w[:k], a[:k], out=d)
+    np.divide(1.0, d, out=d)
+    d += dt * stencil.inv_sum[:k]
+    np.multiply(stencil.inv_h[:k - 1], -dt, out=e)
+    np.multiply(rate_w[:k], dt, out=rhs)
+    if not np.isfinite(buf).all():
+        raise StabilityFailure("semi-implicit system has non-finite entries")
+    _, _, y, info = dptsv(d, e, rhs, 1, 1, 1)
+    if info != 0:
+        raise StabilityFailure(f"dptsv info={info}")
+    delta = np.zeros(n)
+    np.divide(y, a[:k], out=delta[:k])
+    if not np.isfinite(delta).all():
+        raise StabilityFailure("non-finite solution")
+    new = u + delta
+    np.clip(new, 0.0, 1.0, out=new)
+    t_new = field.t + dt
+    if config.right == "zero-value":
+        new[-1] = 0.0
+    elif config.right == "analytic-clamp":
+        new[-1] = (u[-1] if clamp is None
+                   else min(1.0, max(0.0, float(clamp(t_new)))))
+    return new, float(t_new)
+
+
+def edge_values(n):
+    # exact 0s and 1s, where the floor, the reaction and the clip act
+    return hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=small_grids(), right=st.sampled_from(RIGHTS),
+       m=st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+       beta=st.sampled_from((1.0, 1.25, 2.5)),
+       r=st.sampled_from((0.3, 1.0, 2.7)),
+       u_min=st.sampled_from((0.0, 1e-12)), reaction_on=st.booleans(),
+       clamped=st.booleans(),
+       dts=st.lists(st.floats(1e-4, 1.0), min_size=2, max_size=2),
+       data=st.data())
+def test_step_matches_the_reference_step_bit_for_bit(grid, right, m, beta,
+                                                     r, u_min, reaction_on,
+                                                     clamped, dts, data):
+    # two dt values alternate on one grid, so a kept system part that went
+    # stale would show
+    p = make_params(m, 2.0, beta, r=r, r_bar=r)
+    cfg = SolverConfig(right=right, u_min=u_min, reaction_on=reaction_on)
+    clamp = (lambda t: 0.25 + t) if clamped else None
+    fld = Field(values=data.draw(edge_values(grid.x.size)), t=0.0)
+    for dt in (dts[0], dts[1], dts[0], dts[1]):
+        try:
+            want, t_want = oracle_step(fld, dt, grid, cfg, p, clamp)
+        except (StabilityFailure, DomainError) as exc:
+            with pytest.raises(type(exc)):
+                step(fld, dt, grid, cfg, p, clamp)
+            return
+        fld = step(fld, dt, grid, cfg, p, clamp)
+        assert same_bits(fld.values, want)
+        assert fld.t == t_want
+
+
+def test_kept_dt_parts_neither_go_stale_nor_change():
+    def build():
+        return grid_build("geometric", -5.0, 20.0, 400, ratio=1.01)
+
+    p = make_params(0.5, 8.0, 1.25)
+    cfg = SolverConfig(right="analytic-clamp")
+    grid = build()
+    fld = field_build(initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x), 0.0)
+    for dt in (1e-2, 3e-3, 1e-2):
+        want = step(fld, dt, build(), cfg, p).values
+        fld = step(fld, dt, grid, cfg, p)
+        assert same_bits(fld.values, want)
+
+    for part in grid.dt_system(1e-2, grid.x.size - 1):
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+
+    # dt * inv_sum overflows: the kept parts are checked when built
+    with pytest.raises(StabilityFailure, match="non-finite"):
+        step(fld, 1e308, grid, cfg, p)

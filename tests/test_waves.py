@@ -204,8 +204,8 @@ def test_speed_certificate_matches_the_golden_value():
 
 
 def test_wave_profile_matches_the_golden_hash(tmp_path, capsys):
-    assert main(["wave", "--c", "1", "--m", "0.5", "--alpha", "8",
-                 "--beta", "1", "--out", str(tmp_path)]) == 0
+    assert main(["wave", "--c", "1", "--m", "0.5", "--beta", "1",
+                 "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256(
         (tmp_path / "wave_profile.csv").read_bytes()).hexdigest()
     assert digest == ("221c61ec591ab6c5b4f03cc2a1958c3d"
