@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFit, DomainError, EmptyTrace
-from .model import ModelParams
+from .model import ModelParams, rightmost_crossing
 from .regimes import Envelope
 
 __all__ = ["LevelSetTrace", "FitReport", "SandwichReport", "OrderingReport",
@@ -80,11 +80,9 @@ def track_level(traj, lam: float) -> LevelSetTrace:
     ts, xs = [], []
     for t, fld in zip(traj.times, traj.fields):
         v = fld.values
-        s = v - lam
-        flips = np.nonzero((s[:-1] >= 0.0) != (s[1:] >= 0.0))[0]
-        if flips.size == 0:
+        i = rightmost_crossing(v, lam)
+        if i is None:
             continue
-        i = int(flips.max())
         frac = (lam - v[i]) / (v[i + 1] - v[i])
         ts.append(float(t))
         xs.append(float(x[i] + frac * (x[i + 1] - x[i])))

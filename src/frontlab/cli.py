@@ -47,8 +47,8 @@ from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
                     read_config)
 from .regimes import (KINDS, NUMBER_FIELD, Regime, classify, classify_row,
                       envelopes, linear_speed_bound)
-from .solver import (_TIME_TOL, SolutionTrajectory, SolverConfig,
-                     discrete_residual, simulate)
+from .solver import (SolutionTrajectory, SolverConfig, discrete_residual,
+                     simulate)
 
 __all__ = ["main", "RunManifest"]
 
@@ -196,10 +196,7 @@ def read_trajectory_csv(path: Path) -> SolutionTrajectory:
         raise DomainError("trajectory grid row must start with nan")
     if not np.all(np.isfinite(table.ravel()[1:])):
         raise DomainError("trajectory grid, times or values are not finite")
-    if np.any(np.diff(table[1:, 0]) <= _TIME_TOL):  # simulate's rule
-        raise DomainError("trajectory times must increase, each more than "
-                          f"{_TIME_TOL:g} after the one before it")
-    grid = Grid(x=table[0, 1:].copy(), kind="loaded")
+    grid = Grid(x=table[0, 1:].copy())
     times = tuple(table[1:, 0].tolist())
     fields = tuple(field_build(u, t) for t, u in zip(times, table[1:, 1:]))
     return SolutionTrajectory(grid=grid, times=times, fields=fields,

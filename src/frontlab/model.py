@@ -12,7 +12,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -210,12 +210,10 @@ class Stencil:
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing finite abscissas, uniform or geometrically
-    stretched."""
+    """Strictly increasing finite abscissas; grid_build makes uniform or
+    geometrically stretched ones."""
 
     x: np.ndarray
-    kind: str
-    ratio: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.x, dtype=float)
@@ -279,7 +277,7 @@ def grid_build(kind: str, x_left: float, x_right: float, n: int,
     if n < 2:
         raise DomainError("need at least 2 cells")
     if kind == "uniform":
-        return Grid(x=np.linspace(x_left, x_right, n + 1), kind=kind, ratio=1.0)
+        return Grid(x=np.linspace(x_left, x_right, n + 1))
     if kind == "geometric":
         q = float(ratio)
         if not 1.0 < q <= 1.05:
@@ -289,7 +287,7 @@ def grid_build(kind: str, x_left: float, x_right: float, n: int,
         x = x_left + L * np.expm1(i * math.log(q)) / math.expm1(n * math.log(q))
         x[0] = x_left
         x[-1] = x_right
-        return Grid(x=x, kind=kind, ratio=q)
+        return Grid(x=x)
     raise DomainError(f"unknown grid kind {kind!r}")
 
 
@@ -316,14 +314,21 @@ def field_build(values, t: float) -> Field:
     return Field(values=clamped, t=float(t))
 
 
+def rightmost_crossing(values: np.ndarray, lam: float) -> Optional[int]:
+    """Index i of the rightmost cell whose end values straddle lam, a value
+    equal to lam counting as above it; None when no cell does."""
+    above = values >= lam
+    flips = np.nonzero(above[:-1] != above[1:])[0]
+    return int(flips[-1]) if flips.size else None
+
+
 @dataclass(frozen=True)
 class ConfigBundle:
-    """A parsed run configuration: parameters, datum, grid, raw document."""
+    """A parsed run configuration: parameters, datum, grid."""
 
     params: ModelParams
     data: InitialData
     grid: Grid
-    raw: dict
 
 
 _REQUIRED = object()
@@ -402,7 +407,7 @@ def bundle_from_dict(doc: dict) -> ConfigBundle:
         n=config_number(gdoc, "n", where="grid"),
         ratio=config_number(gdoc, "ratio", 1.02, where="grid"),
     )
-    return ConfigBundle(params=params, data=data, grid=grid, raw=dict(doc))
+    return ConfigBundle(params=params, data=data, grid=grid)
 
 
 def read_config(path) -> dict:

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .errors import DomainError, DomainExhausted, StabilityFailure
-from .model import Field, Grid, ModelParams, field_build, reaction_eval
+from .model import (Field, Grid, ModelParams, field_build, reaction_eval,
+                    rightmost_crossing)
 from .regimes import Regime, classify, envelopes, gamma_effective
 
 __all__ = ["SolverConfig", "SolutionTrajectory", "ResidualReport", "step",
@@ -67,6 +68,13 @@ class SolverConfig:
         object.__setattr__(self, "snapshots", snaps)
 
 
+def _require_increasing(times, what: str) -> None:
+    # a NaN gap fails the test too, so it cannot pass as an increase
+    if not all(b - a > _TIME_TOL for a, b in zip(times, times[1:])):
+        raise DomainError(f"{what} must increase, each more than "
+                          f"{_TIME_TOL:g} after the one before it")
+
+
 @dataclass(frozen=True, eq=False)
 class SolutionTrajectory:
     """Ordered snapshots of one run plus step statistics."""
@@ -76,6 +84,9 @@ class SolutionTrajectory:
     fields: tuple
     dt_history: np.ndarray
     max_residual: float
+
+    def __post_init__(self):
+        _require_increasing(self.times, "trajectory times")
 
 
 @dataclass(frozen=True)
@@ -221,11 +232,12 @@ def _tail_clamp(params: ModelParams, kind, x_right: float) -> Optional[Callable]
 
 def simulate(u0, grid: Grid, config: SolverConfig,
              params: ModelParams) -> SolutionTrajectory:
-    """March to t_end, recording snapshots on the schedule.
-
-    The grid must extend 25% beyond the predicted upper front position
-    when the regime carries an upper envelope. Raises DomainExhausted the
-    moment the 0.5-level set comes within 10 cells of the right edge.
+    """March to the last snapshot (the schedule, or ten even times up to
+    t_end when it is empty), recording each one; no step goes past it, even
+    when t_end does. The grid must still extend 25% beyond the upper front
+    position that the envelope, if the regime has one, predicts at t_end.
+    Raises DomainExhausted the moment the 0.5-level set comes within 10
+    cells of the right edge.
     """
     clamp = None
     if config.reaction_on:
@@ -245,10 +257,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     if not schedule:
         schedule = tuple(np.linspace(0.0, config.t_end, 11)[1:])
     # from t = 0 on, so no snapshot repeats the one before it
-    if any(b - a <= _TIME_TOL for a, b in zip((0.0,) + schedule, schedule)):
-        raise DomainError("snapshot schedule must be positive and strictly "
-                          f"increasing, each time more than {_TIME_TOL:g} "
-                          "after the one before it")
+    _require_increasing((0.0,) + schedule, "snapshot times from t = 0")
     if schedule[-1] > config.t_end + _TIME_TOL:
         raise DomainError("snapshot schedule exceeds t_end")
 
@@ -258,7 +267,6 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     times = [0.0]
     dts = []
     max_resid = 0.0
-    n_nodes = grid.x.size
     m = params.m
 
     for target in schedule:
@@ -278,10 +286,8 @@ def simulate(u0, grid: Grid, config: SolverConfig,
             r = ((fld.values - prev_vals) / last_dt
                  - _second_diff(grid, fld.values ** m) - f_now)
             max_resid = max(max_resid, float(np.abs(r[1:-1]).max()))
-        s = fld.values - 0.5
-        cross = np.nonzero((s[:-1] >= 0.0) != (s[1:] >= 0.0))[0]
-        edge = fld.values[-1] >= 0.5
-        if edge or (cross.size and cross.max() >= n_nodes - 11):
+        i = rightmost_crossing(fld.values, 0.5)
+        if fld.values[-1] >= 0.5 or (i is not None and i >= grid.x.size - 11):
             raise DomainExhausted(
                 f"0.5-level within 10 cells of the right edge at t={target:g}")
 
@@ -307,23 +313,6 @@ def _pointwise_residual(candidate, params: ModelParams, ts: np.ndarray,
     return (vp - vm) / (2.0 * h_t) - lap - f_v
 
 
-def _grid_residual(traj: SolutionTrajectory, candidate, params: ModelParams,
-                   h_t: float, reaction_free: bool) -> np.ndarray:
-    x = traj.grid.x
-    m = params.m
-    rows = []
-    for t in traj.times:
-        v0 = np.asarray(candidate(float(t), x), dtype=float)
-        vp = np.asarray(candidate(float(t) + h_t, x), dtype=float)
-        vm = np.asarray(candidate(float(t) - h_t, x), dtype=float)
-        lap = _second_diff(traj.grid, v0 ** m)
-        f_v = 0.0 if reaction_free else reaction_eval(
-            params, np.clip(v0, 0.0, 1.0))
-        r = (vp - vm) / (2.0 * h_t) - lap - f_v
-        rows.append(r[1:-1])
-    return np.concatenate(rows)
-
-
 def discrete_residual(traj, candidate, params: ModelParams,
                       samples=None, h_t: float = 1e-3,
                       h_x: float = 1e-3,
@@ -331,29 +320,27 @@ def discrete_residual(traj, candidate, params: ModelParams,
     """Residual d_t v - D^2(v^m) - f(v) of a candidate, with a refinement
     tolerance (4/3)|R(h) - R(h/2)| + 1e-8 estimated by halving the stencils.
 
-    With ``samples`` (aligned arrays of t and x) the derivatives use local
-    centered stencils, and the candidate is called once per stencil offset
-    on whole arrays, (t, x), (t +- h_t, x) and (t, x +- h_x), so it must
-    take aligned t and x arrays: 10 calls for both step sizes, however many
-    distinct times the samples hold. Otherwise the candidate is evaluated
-    at each snapshot time (a number) on the trajectory's grid nodes, with
-    the grid's own second difference.
+    The residual is taken at ``samples``, aligned arrays of t and x, or
+    without them at every snapshot time of ``traj`` on every interior node
+    of its grid. The derivatives use local centered stencils, and the
+    candidate is called once per stencil offset on whole arrays, (t, x),
+    (t +- h_t, x) and (t, x +- h_x), so it must take aligned t and x
+    arrays: 10 calls for both step sizes, however many distinct times the
+    samples hold.
     """
     if reaction_free is None:
         reaction_free = bool(getattr(candidate, "reaction_free", False))
-    if samples is not None:
-        ts = np.asarray(samples[0], dtype=float)
-        xs = np.asarray(samples[1], dtype=float)
-        if ts.shape != xs.shape:
-            raise DomainError("sample time and position arrays must align")
-        coarse = _pointwise_residual(candidate, params, ts, xs, h_t, h_x,
-                                     reaction_free)
-        fine = _pointwise_residual(candidate, params, ts, xs, 0.5 * h_t,
-                                   0.5 * h_x, reaction_free)
-    else:
-        coarse = _grid_residual(traj, candidate, params, h_t, reaction_free)
-        fine = _grid_residual(traj, candidate, params, 0.5 * h_t,
-                              reaction_free)
+    if samples is None:
+        x = traj.grid.x[1:-1]
+        samples = (np.repeat(traj.times, x.size), np.tile(x, len(traj.times)))
+    ts = np.asarray(samples[0], dtype=float)
+    xs = np.asarray(samples[1], dtype=float)
+    if ts.shape != xs.shape:
+        raise DomainError("sample time and position arrays must align")
+    coarse = _pointwise_residual(candidate, params, ts, xs, h_t, h_x,
+                                 reaction_free)
+    fine = _pointwise_residual(candidate, params, ts, xs, 0.5 * h_t,
+                               0.5 * h_x, reaction_free)
     tol = (4.0 / 3.0) * float(np.abs(coarse - fine).max()) + 1e-8
     return ResidualReport(max_residual=float(fine.max()),
                           min_residual=float(fine.min()),

@@ -183,9 +183,9 @@ def test_grid_rejects_degenerate_interval():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Grid(x=np.array([0.0, np.nan, 1.0]), kind="loaded"),
-    lambda: Grid(x=np.array([0.0, 1.0, np.inf]), kind="loaded"),
-    lambda: Grid(x=np.array([-np.inf, 0.0, 1.0]), kind="loaded"),
+    lambda: Grid(x=np.array([0.0, np.nan, 1.0])),
+    lambda: Grid(x=np.array([0.0, 1.0, np.inf])),
+    lambda: Grid(x=np.array([-np.inf, 0.0, 1.0])),
     lambda: grid_build("uniform", 0.0, np.inf, 10),
     lambda: grid_build("geometric", 0.0, np.inf, 10),
     lambda: grid_build("uniform", -np.inf, 0.0, 10),
