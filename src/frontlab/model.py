@@ -200,7 +200,7 @@ class Stencil:
     either end node. ``inv_h`` = 1/h over the cells, ``w`` = 2/(hl+hr) at
     interior nodes and 2/h at the two end nodes (their zero-flux ghost
     rows), and ``inv_sum`` holds the row sums 1/hl + 1/hr of -K's diagonal
-    (1/h at the ends).
+    (1/h at the ends). A step drops the Dirichlet right node's row.
     """
 
     inv_h: np.ndarray
@@ -239,17 +239,17 @@ class Grid:
             arr.setflags(write=False)
         return Stencil(inv_h=inv_h, w=w, inv_sum=inv_sum)
 
-    def dt_system(self, dt: float, k: int) -> tuple:
-        """(dt*inv_sum[:k], -dt/h over the first k-1 cells): the dt-only
-        parts of a step's system on the first k nodes, checked finite once
-        and kept read-only until a step asks for another (dt, k)."""
+    def dt_system(self, dt: float) -> tuple:
+        """(dt*inv_sum, -dt/h) short of the Dirichlet right node: the dt-only
+        parts of a step's system, checked finite once and kept read-only
+        until a step asks for another dt."""
         kept = self.__dict__.get("_dt_system")
-        if kept is None or kept[0] != (dt, k):
+        if kept is None or kept[0] != dt:
             st = self.stencil
             # an overflow is reported below as a typed failure, not a warning
             with np.errstate(over="ignore"):
-                diag = dt * st.inv_sum[:k]
-                off = np.multiply(st.inv_h[:k - 1], -dt)
+                diag = dt * st.inv_sum[:-1]
+                off = np.multiply(st.inv_h[:-1], -dt)
             if not (np.isfinite(diag).all() and np.isfinite(off).all()):
                 raise StabilityFailure(
                     "semi-implicit system has non-finite entries")
@@ -257,7 +257,7 @@ class Grid:
             off.setflags(write=False)
             # the grid is frozen: like the stencil, the parts go straight
             # into the instance dict
-            kept = self.__dict__["_dt_system"] = ((dt, k), (diag, off))
+            kept = self.__dict__["_dt_system"] = (dt, (diag, off))
         return kept[1]
 
 

@@ -1,8 +1,9 @@
 """Front-tracking finite-difference solver for du/dt = dxx(u^m) + f(u).
 
 Nonuniform 3-point Laplacian, semi-implicit (lagged diffusivity) time
-stepping at a fixed dt, zero-flux left boundary, and a right boundary held
-at an analytic growth clamp so the heavy tail is not truncated.
+stepping in ceil(g/dt) equal steps over each snapshot interval g, zero-flux
+left boundary, and a Dirichlet right boundary: held at zero or at an
+analytic growth clamp, so the heavy tail is not truncated.
 
 Every stencil reads the grid's dt-independent factors (``Grid.stencil``,
 built once per grid on first use), and the system's dt-only parts are
@@ -32,8 +33,8 @@ from .regimes import Regime, classify, envelopes, gamma_effective
 __all__ = ["SolverConfig", "SolutionTrajectory", "ResidualReport", "step",
            "simulate", "discrete_residual"]
 
-_RIGHT = ("analytic-clamp", "zero-value", "zero-flux")
-# times no more than this apart are one time to the stepper
+_RIGHT = ("analytic-clamp", "zero-value")
+# times no more than this apart are one time to the schedule
 _TIME_TOL = 1e-12
 
 
@@ -118,15 +119,15 @@ def _second_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_banded(grid: Grid, a: np.ndarray, dt: float, rate_w: np.ndarray,
-                 right: str) -> np.ndarray:
+def solve_banded(grid: Grid, a: np.ndarray, dt: float,
+                 rate_w: np.ndarray) -> np.ndarray:
     """Solve (I - dt W K diag(a)) delta = dt W rate_w, W = diag(w), for delta.
 
-    With y = a delta and each row scaled by 1/w the matrix becomes
+    The right edge is Dirichlet: delta = 0 at the right node, whose row is
+    dropped. With y = a delta and each row scaled by 1/w the matrix becomes
     diag(1/(w a)) + dt (diag(inv_sum) - offdiag(1/h)): symmetric and, for
     0 < a < inf, diagonally dominant with a positive diagonal, so LAPACK
-    dptsv factors it as L D L^T without pivoting. A Dirichlet right edge
-    keeps delta = 0 there and drops its row.
+    dptsv factors it as L D L^T without pivoting.
     """
     # checked on every node: the dropped Dirichlet node would hide an
     # infinite diffusivity from the system guard below
@@ -134,10 +135,9 @@ def solve_banded(grid: Grid, a: np.ndarray, dt: float, rate_w: np.ndarray,
         raise StabilityFailure(
             "diffusivity m*u^(m-1) is zero, infinite or NaN; a zero node "
             "needs u_min > 0 unless m = 1")
-    n = a.size
-    k = n if right == "zero-flux" else n - 1
-    # the dt-only parts are built, checked and kept once per (grid, dt, k)
-    diag_dt, e = grid.dt_system(dt, k)
+    # the dt-only parts are built, checked and kept once per (grid, dt)
+    diag_dt, e = grid.dt_system(dt)
+    k = diag_dt.size
     # d and rhs are views of one buffer, so one scan guards them both
     buf = np.empty(2 * k)
     d, rhs = buf[:k], buf[k:]
@@ -152,9 +152,9 @@ def solve_banded(grid: Grid, a: np.ndarray, dt: float, rate_w: np.ndarray,
     if info != 0:
         raise StabilityFailure(
             f"tridiagonal solve failed (LAPACK dptsv info={info})")
-    delta = np.empty(n)
+    delta = np.empty(k + 1)
     np.divide(y, a[:k], out=delta[:k])
-    delta[k:] = 0.0
+    delta[k] = 0.0
     if not np.isfinite(delta).all():
         raise StabilityFailure("tridiagonal solve returned non-finite values")
     return delta
@@ -164,9 +164,9 @@ def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
          params: ModelParams, clamp: Optional[Callable] = None) -> Field:
     """Advance one time step; the result is clamped to [0, 1] and read-only.
 
-    Under the analytic-clamp policy the right node takes ``clamp(t)`` (a
-    t -> value map, cut to [0, 1]) at the new time, or keeps its value
-    without one.
+    The right node is not solved for: it is 0 under the zero-value policy;
+    under analytic-clamp it is ``clamp(t)`` (a t -> value map, cut to
+    [0, 1]) at the new time, or its old value (its delta is 0) without one.
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
@@ -178,25 +178,23 @@ def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
         f_w = reaction_eval(params, u)
         f_w /= grid.stencil.w
         rate_w += f_w
-    # a = m max(u, u_min)^(m-1); a zero or infinite diffusivity (u_min = 0
-    # and a zero node) is left to solve_banded's guard rather than reported
-    # as a warning
-    a = np.maximum(u, config.u_min)
+    # a = m max(u, floor)^(m-1), floor u_min; for m < 1 at most 1e-300, so a
+    # (<= 1e300) follows the true diffusivity down the tail the rate sees. A
+    # zero or infinite a (u_min = 0, a zero node) is left to solve_banded
+    floor = config.u_min if m >= 1.0 else min(config.u_min, 1e-300)
+    a = np.maximum(u, floor)
     with np.errstate(divide="ignore", over="ignore"):
         a **= m - 1.0
         a *= m
     # u + delta, added into the delta that solve_banded returns
-    new = solve_banded(grid, a, dt, rate_w, config.right)
+    new = solve_banded(grid, a, dt, rate_w)
     new += u
     np.clip(new, 0.0, 1.0, out=new)
     t_new = field.t + dt
     if config.right == "zero-value":
         new[-1] = 0.0
-    elif config.right == "analytic-clamp":
-        if clamp is not None:
-            new[-1] = min(1.0, max(0.0, float(clamp(t_new))))
-        else:
-            new[-1] = u[-1]
+    elif clamp is not None:
+        new[-1] = min(1.0, max(0.0, float(clamp(t_new))))
     new.setflags(write=False)
     return Field(values=new, t=float(t_new))
 
@@ -234,25 +232,13 @@ def simulate(u0, grid: Grid, config: SolverConfig,
              params: ModelParams) -> SolutionTrajectory:
     """March to the last snapshot (the schedule, or ten even times up to
     t_end when it is empty), recording each one; no step goes past it, even
-    when t_end does. The grid must still extend 25% beyond the upper front
-    position that the envelope, if the regime has one, predicts at t_end.
-    Raises DomainExhausted the moment the 0.5-level set comes within 10
-    cells of the right edge.
+    when t_end does. Each interval g between snapshots takes ceil(g/dt)
+    equal steps (a whole number of dt up to rounding counts as whole). The
+    grid must still extend 25% beyond the upper front position that the
+    envelope, if the regime has one, predicts at the last snapshot. Raises
+    DomainExhausted the moment the 0.5-level set comes within 10 cells of
+    the right edge.
     """
-    clamp = None
-    if config.reaction_on:
-        kind = classify(params.m, params.alpha, params.beta)
-        if kind.regime in _UPPER_REGIMES:
-            env = envelopes(params)
-            if env.upper is not None:
-                x_need = 1.25 * float(env.upper(config.t_end))
-                if grid.x[-1] < x_need:
-                    raise DomainError(
-                        f"grid right edge {grid.x[-1]:.4g} is below 1.25x "
-                        f"the predicted front position {x_need:.4g}")
-        if config.right == "analytic-clamp":
-            clamp = _tail_clamp(params, kind, float(grid.x[-1]))
-
     schedule = config.snapshots
     if not schedule:
         schedule = tuple(np.linspace(0.0, config.t_end, 11)[1:])
@@ -260,6 +246,20 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     _require_increasing((0.0,) + schedule, "snapshot times from t = 0")
     if schedule[-1] > config.t_end + _TIME_TOL:
         raise DomainError("snapshot schedule exceeds t_end")
+
+    clamp = None
+    if config.reaction_on:
+        kind = classify(params.m, params.alpha, params.beta)
+        if kind.regime in _UPPER_REGIMES:
+            env = envelopes(params)
+            if env.upper is not None:
+                x_need = 1.25 * float(env.upper(schedule[-1]))
+                if grid.x[-1] < x_need:
+                    raise DomainError(
+                        f"grid right edge {grid.x[-1]:.4g} is below 1.25x "
+                        f"the predicted front position {x_need:.4g}")
+        if config.right == "analytic-clamp":
+            clamp = _tail_clamp(params, kind, float(grid.x[-1]))
 
     vals0 = np.clip(np.asarray(u0(grid.x), dtype=float), 0.0, 1.0)
     fld = field_build(vals0, 0.0)
@@ -270,22 +270,22 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     m = params.m
 
     for target in schedule:
-        prev_vals, last_dt = None, None
-        while fld.t < target - _TIME_TOL:
-            dt = min(config.dt, target - fld.t)
+        gap = target - times[-1]
+        # the gap is over 1e-12, so this is at least one step
+        n_steps = math.ceil(gap / config.dt * (1.0 - 1e-12))
+        dt = gap / n_steps
+        for _ in range(n_steps):
             prev_vals = fld.values
             fld = step(fld, dt, grid, config, params, clamp)
-            last_dt = dt
-            dts.append(dt)
+        dts += [dt] * n_steps
         fld = field_build(fld.values, target)
         fields.append(fld)
         times.append(target)
-        if prev_vals is not None:
-            f_now = (reaction_eval(params, fld.values)
-                     if config.reaction_on else 0.0)
-            r = ((fld.values - prev_vals) / last_dt
-                 - _second_diff(grid, fld.values ** m) - f_now)
-            max_resid = max(max_resid, float(np.abs(r[1:-1]).max()))
+        f_now = (reaction_eval(params, fld.values)
+                 if config.reaction_on else 0.0)
+        r = ((fld.values - prev_vals) / dt
+             - _second_diff(grid, fld.values ** m) - f_now)
+        max_resid = max(max_resid, float(np.abs(r[1:-1]).max()))
         i = rightmost_crossing(fld.values, 0.5)
         if fld.values[-1] >= 0.5 or (i is not None and i >= grid.x.size - 11):
             raise DomainExhausted(

@@ -195,6 +195,7 @@ def test_infeasible_selection_exits_4(tmp_path):
     lambda d: d["solver"].update(scheme="explicit"),
     lambda d: d["solver"].update(dt_control="cfl"),
     lambda d: d["solver"].update(rigth="zero-flux"),
+    lambda d: d["solver"].update(right="zero-flux"),
     lambda d: d["solver"]["snapshots"].update(last=1.0),
     lambda d: d["grid"].update(ration=1.02),
     lambda d: d["experiment"].update(levle=0.5),
@@ -202,7 +203,8 @@ def test_infeasible_selection_exits_4(tmp_path):
 ], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
         "word-count", "zero-count", "null-solver", "string-reaction-on",
         "word-level", "fractional-n", "fractional-count", "explicit-scheme",
-        "cfl-dt-control", "unknown-solver-key", "unknown-snapshots-key",
+        "cfl-dt-control", "unknown-solver-key", "zero-flux-right",
+        "unknown-snapshots-key",
         "unknown-grid-key", "unknown-experiment-key",
         "unknown-top-level-key"])
 def test_malformed_config_exits_2(tmp_path, capsys, spoil):
@@ -218,6 +220,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     if "unknown key" in err:  # the message names the misspelled key
         assert any(f"'{k}'" in err
                    for k in ("rigth", "last", "ration", "levle", "plateu"))
+    if "policy" in err:  # and the right-edge policy it does not know
+        assert "'zero-flux'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -668,15 +672,14 @@ def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):
     assert lines == ["m,alpha,beta,regime,gamma,exponent,label,status"]
 
 
-# sha256 of report.json and trace.csv from `experiment` on a shipped config;
-# fde_kpp is left out, since its fast-diffusion run depends on u_min
+# sha256 of report.json and trace.csv from `experiment` on a shipped config
 GOLDEN_EXPERIMENTS = {
     "noacc": (
-        "4616ae5b8965b9d68bb557e9f1a61fa236fc82f52c6b0c1c51aa53a22e9b6ea2",
-        "cff4b2ab401c877c048190a3306d269e3778c3203cf1a12e3977593310ac6493"),
+        "b8eee0b36ed1bcde7b3f598a12fc5f165adc52cb5e630df53488eacf68c5d8f3",
+        "ed5c772485bd273ca027dbca7c64679065996426f7c8b7c82c27ad9af7e65c5b"),
     "pme_poly": (
-        "ddf8c5d26c80f90e8ff155c9a6aaefaca39a2ebdeeb5dcd327ca332a7ce7b8a2",
-        "14efeb324970a4fb80e50450603ff65396c1031d4640ec4e210cc19ccaf5184c"),
+        "db558457f2bbacec8e1bc27e25db0689e56473ac3fc8b11171af41f8d3e9c221",
+        "ed2d65cc2930f34e544e1d7f196e0cab0a10e6e3ad7d6c68d31d6fa938ed4d70"),
 }
 
 
