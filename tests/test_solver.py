@@ -145,14 +145,18 @@ def dense_second_diff(x):
     return L
 
 
-def test_semi_implicit_solve_matches_the_dense_system():
+@pytest.mark.parametrize("right", ["analytic-clamp", "zero-value"])
+def test_semi_implicit_solve_matches_the_dense_system(right):
+    # both Dirichlet policies drop the right node's row from the solve; the
+    # policy only sets the value the step then writes at that node
     grid = grid_build("geometric", -3.0, 20.0, 60, ratio=1.04)
     rng = np.random.default_rng(7)
     n = grid.x.size
+    L = dense_second_diff(grid.x)
     a = rng.uniform(0.2, 3.0, n)
     rate = rng.normal(size=n)
     dt = 0.05
-    A = np.eye(n) - dt * dense_second_diff(grid.x) * a[None, :]
+    A = np.eye(n) - dt * L * a[None, :]
     b = dt * rate
     A[-1] = 0.0
     A[-1, -1] = 1.0
@@ -160,6 +164,19 @@ def test_semi_implicit_solve_matches_the_dense_system():
     want = np.linalg.solve(A, b)
     got = solve_banded(grid, a, dt, rate / grid.stencil.w)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # a whole step at m = 2 without reaction: a = 2u, rate = L u^2
+    u = 0.5 + 0.2 * np.sin(grid.x)
+    A = np.eye(n) - dt * L * (2.0 * u)[None, :]
+    b = dt * (L @ u ** 2)
+    A[-1] = 0.0
+    A[-1, -1] = 1.0
+    b[-1] = 0.0
+    want = u + np.linalg.solve(A, b)
+    want[-1] = 0.0 if right == "zero-value" else 0.25
+    cfg = SolverConfig(right=right, reaction_on=False)
+    got = step(Field(values=u, t=0.0), dt, grid, cfg,
+               make_params(2.0, 2.0, 1.25), lambda t: 0.25).values
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("u, exact", [
