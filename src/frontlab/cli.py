@@ -8,6 +8,8 @@ on stdout, is taken only by construct, analyze and experiment, which
 pretty-print without it. classify and shoot write no files. The other
 commands write JSON documents and CSV tables under --out, the working
 directory by default; construct and wave write files only when given --out.
+trajectory.csv writes each number as the 16 hex digits of its big-endian
+binary64 bits, so analyze reads back exactly what experiment computed.
 Each file is streamed chunk by chunk (one CSV row at a time) into a temp
 file beside its target, created with the mode open() would give it (0666
 less the umask), and renamed over it after the last chunk, so a reader
@@ -157,49 +159,73 @@ def _add_io_flags(sp, out: Optional[Path], config: bool = False,
 # ---------------------------------------------------------------------------
 # trajectory CSV round-trip (shared by simulate / analyze / experiment)
 
-# The reader checks this line exactly. It starts with "#" so that tools
-# which skip comment lines, np.loadtxt among them, read the table directly.
-_TRAJECTORY_HEADER = ("# frontlab trajectory: grid row nan x_0..x_n; "
-                     "then one row t u(x_0)..u(x_n) per snapshot")
+# The reader checks this line exactly, so a file in any other format (the
+# older decimal table among them) is refused before its rows are read.
+_TRAJECTORY_HEADER = ("# frontlab trajectory: binary64 big-endian hex cells; "
+                      "grid row nan x_0..x_n; "
+                      "then one row t u(x_0)..u(x_n) per snapshot")
+
+# hex digit byte -> its value; every other byte (uppercase included) -> 16
+_NIBBLE = np.full(256, 16, dtype=np.uint8)
+_NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
 def write_trajectory_csv(path: Path, traj: SolutionTrajectory) -> None:
-    """Write the header, the grid row, then one `t,u(x)...` row per snapshot."""
-    row = ",".join(["%.17g"] * (traj.grid.x.size + 1)) + "\n"
+    """Write the header, the grid row, then one `t,u(x)...` row per snapshot;
+    each cell is the 16 hex digits of a number's big-endian binary64 bits."""
+    row = np.empty(traj.grid.x.size + 1, dtype=">f8")
+
+    def encode(head, values):
+        row[0] = head
+        row[1:] = values
+        return memoryview(row).hex(",", 8) + "\n"
 
     def lines():
         yield _TRAJECTORY_HEADER + "\n"
-        yield row % (math.nan, *traj.grid.x.tolist())
+        yield encode(math.nan, traj.grid.x)
         for t, fld in zip(traj.times, traj.fields):
-            yield row % (t, *fld.values.tolist())
+            yield encode(t, fld.values)
 
     _atomic_write(path, lines())
 
 
+def _decode_row(line: bytes, seps: bytes) -> np.ndarray:
+    # each cell is 16 digits and its separator. A line from readline ends at
+    # its one "\n", so separators that match also fix the row's length
+    if line[16::17] != seps:
+        raise DomainError(f"trajectory row is not {len(seps)} cells, each "
+                          "ended by a comma or, the last, a newline")
+    nib = _NIBBLE[np.frombuffer(line, np.uint8).reshape(-1, 17)[:, :16]]
+    if nib.max() > 15:
+        raise DomainError("trajectory cells must be lowercase hex digits")
+    octets = (nib[:, 0::2] << 4) | nib[:, 1::2]
+    return octets.view(">f8").ravel().astype(float)
+
+
 def read_trajectory_csv(path: Path) -> SolutionTrajectory:
-    """Rebuild a trajectory written by `write_trajectory_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    """Rebuild a trajectory written by `write_trajectory_csv`, row by row."""
+    with open(path, "rb") as fh:
+        header = fh.readline().rstrip(b"\n").decode("utf-8", "replace")
         if header != _TRAJECTORY_HEADER:
             raise DomainError(f"unexpected trajectory header {header!r}")
         grid_row = fh.readline()
-        if not grid_row.strip():
+        if not grid_row:
             raise DomainError("trajectory file holds no grid row")
-        try:
-            table = np.loadtxt(itertools.chain([grid_row], fh),
-                               delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DomainError(f"malformed trajectory table: {exc}") from None
-    if table.shape[0] < 2:
+        seps = b"," * grid_row.count(b",") + b"\n"
+        head = _decode_row(grid_row, seps)
+        if not np.isnan(head[0]):
+            raise DomainError("trajectory grid row must start with nan")
+        grid = Grid(x=head[1:])  # checks the nodes finite and increasing
+        fields = []
+        for line in fh:
+            row = _decode_row(line, seps)
+            if not np.isfinite(row).all():
+                raise DomainError("trajectory times or values are not finite")
+            fields.append(field_build(row[1:], row[0]))
+    if not fields:
         raise DomainError("trajectory file holds no snapshots")
-    if not np.isnan(table[0, 0]):
-        raise DomainError("trajectory grid row must start with nan")
-    if not np.all(np.isfinite(table.ravel()[1:])):
-        raise DomainError("trajectory grid, times or values are not finite")
-    grid = Grid(x=table[0, 1:].copy())
-    times = tuple(table[1:, 0].tolist())
-    fields = tuple(field_build(u, t) for t, u in zip(times, table[1:, 1:]))
-    return SolutionTrajectory(grid=grid, times=times, fields=fields,
+    return SolutionTrajectory(grid=grid, times=tuple(f.t for f in fields),
+                              fields=tuple(fields),
                               dt_history=np.asarray([]),
                               max_residual=math.nan)
 

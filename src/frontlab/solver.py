@@ -142,7 +142,9 @@ def solve_banded(grid: Grid, a: np.ndarray, dt: float,
     buf = np.empty(2 * k)
     d, rhs = buf[:k], buf[k:]
     np.multiply(grid.stencil.w[:k], a[:k], out=d)
-    np.divide(1.0, d, out=d)
+    # a subnormal w*a or a tiny a overflows: the scans make that typed
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(1.0, d, out=d)
     d += diag_dt
     np.multiply(rate_w[:k], dt, out=rhs)
     if not np.isfinite(buf).all():
@@ -153,7 +155,8 @@ def solve_banded(grid: Grid, a: np.ndarray, dt: float,
         raise StabilityFailure(
             f"tridiagonal solve failed (LAPACK dptsv info={info})")
     delta = np.empty(k + 1)
-    np.divide(y, a[:k], out=delta[:k])
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(y, a[:k], out=delta[:k])
     delta[k] = 0.0
     if not np.isfinite(delta).all():
         raise StabilityFailure("tridiagonal solve returned non-finite values")

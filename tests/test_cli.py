@@ -1,10 +1,10 @@
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import stat
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -427,6 +427,21 @@ def test_simulate_then_analyze_round_trip(tmp_path, capsys):
     assert len(trace_lines) == 1 + 41  # every frame crosses the 0.5 level
 
 
+TRAJECTORY_HEADER = ("# frontlab trajectory: binary64 big-endian hex cells; "
+                     "grid row nan x_0..x_n; "
+                     "then one row t u(x_0)..u(x_n) per snapshot")
+NAN_CELL = "7ff8000000000000"
+
+
+def cell(v):
+    return struct.pack(">d", v).hex()
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
 def test_trajectory_csv_round_trips_exactly(tmp_path):
     p = ModelParams(m=2.0, alpha=2.0, beta=1.25, r=1.0, r_bar=1.0,
                     C=1.0, C_bar=1.0, s0=0.5, x0=2.0)
@@ -443,9 +458,8 @@ def test_trajectory_csv_round_trips_exactly(tmp_path):
         assert np.array_equal(fa.values, fb.values)
     # the layout the README documents: header, grid row, one row per snapshot
     header, grid_row, *snapshot_rows = path.read_text().splitlines()
-    assert (header == "# frontlab trajectory: grid row nan x_0..x_n; "
-                      "then one row t u(x_0)..u(x_n) per snapshot"
-            and grid_row.startswith("nan,")
+    assert (header == TRAJECTORY_HEADER
+            and grid_row.startswith(NAN_CELL + ",")
             and len(snapshot_rows) == len(traj.times))
 
 
@@ -465,22 +479,39 @@ def test_trajectory_reader_guards_the_format(tmp_path):
         cells[i] = text
         return ",".join(cells)
 
+    old_decimal = [
+        "# frontlab trajectory: grid row nan x_0..x_n; "
+        "then one row t u(x_0)..u(x_n) per snapshot",
+        "nan,0,0.5,1", "0,1,0.5,0", "0.5,1,0.59999999999999998,0.1"]
     malformed = (
-        ["t,x,u", "0,0,0"],                                  # wrong header
-        [header],                                            # no rows
-        [header, grid_row],                                  # no snapshots
-        [header, row0, row1],                                # no grid row
-        [header, grid_row, row0 + ",0.5", row1],             # ragged row
-        [header, with_cell(grid_row, 1, "nan"), row0, row1],
-        [header, grid_row, with_cell(row0, 0, "inf"), row1],
-        [header, grid_row, row0, with_cell(row1, 2, "nan")],
-        [header, grid_row, row1, row0],                      # out of order
-        [header, grid_row, row0, row1, row1],                # repeated time
+        (["t,x,u", "0,0,0"], "header"),
+        (old_decimal, "header"),
+        ([header], "no grid row"),
+        ([header, grid_row], "no snapshots"),
+        ([header, row0, row1], "start with nan"),
+        ([header, grid_row, row0 + "," + cell(0.5), row1], "cells"),
+        ([header, grid_row, row0[:-1], row1], "cells"),
+        ([header, with_cell(grid_row, 1, NAN_CELL), row0, row1],
+         "grid nodes must be finite"),
+        ([header, grid_row, with_cell(row0, 0, "7ff0000000000000"), row1],
+         "not finite"),
+        ([header, grid_row, row0, with_cell(row1, 2, NAN_CELL)],
+         "not finite"),
+        ([header, grid_row, with_cell(row0, 1, "3ff000000000000g"), row1],
+         "lowercase hex"),
+        ([header, grid_row, with_cell(row0, 1, "3FF0000000000000"), row1],
+         "lowercase hex"),
+        # two bytes of UTF-8 in place of two digits keep the row's length
+        ([header, grid_row, with_cell(row0, 1, "3ff00000000000\u00e9"), row1],
+         "lowercase hex"),
+        ([header, grid_row, row0.replace(",", ";", 1), row1], "comma"),
+        ([header, grid_row, row1, row0], "must increase"),   # out of order
+        ([header, grid_row, row0, row1, row1], "must increase"),  # repeated
     )
     bad = tmp_path / "bad.csv"
-    for lines in malformed:
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DomainError):
+    for lines, match in malformed:
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=match):
             read_trajectory_csv(bad)
 
 
@@ -494,25 +525,24 @@ def random_trajectory(n_nodes, n_snapshots, seed=3):
         dt_history=np.asarray([]), max_residual=float("nan"))
 
 
-def test_trajectory_csv_bytes_match_a_savetxt_table(tmp_path):
+def test_trajectory_csv_bytes_are_the_hex_of_each_float(tmp_path):
     traj = random_trajectory(9, 5)
     edge = SolutionTrajectory(
         grid=traj.grid, times=traj.times + (1e3,),
         fields=traj.fields + (field_build(
             [0.0, 1.0, 1e-300, 5e-324, 0.1, 1 / 3, 2 / 3, 1 - 1e-16, 0.5],
             1e3),), dt_history=traj.dt_history, max_residual=math.nan)
-    table = np.vstack(
-        [np.concatenate([[np.nan], edge.grid.x])]
-        + [np.concatenate([[t], f.values])
-           for t, f in zip(edge.times, edge.fields)])
-    ref = io.StringIO()
-    np.savetxt(ref, table, fmt="%.17g", delimiter=",",
-               header="# frontlab trajectory: grid row nan x_0..x_n; "
-                      "then one row t u(x_0)..u(x_n) per snapshot",
-               comments="")
+    rows = [[math.nan, *edge.grid.x.tolist()]] + [
+        [t, *f.values.tolist()] for t, f in zip(edge.times, edge.fields)]
+    ref = "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
     path = tmp_path / "t.csv"
     write_trajectory_csv(path, edge)
-    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+    assert path.read_bytes() == (TRAJECTORY_HEADER + "\n" + ref).encode()
+    back = read_trajectory_csv(path)
+    assert same_bits(back.grid.x, edge.grid.x)
+    assert back.times == edge.times
+    for fa, fb in zip(back.fields, edge.fields):
+        assert same_bits(fa.values, fb.values)
 
 
 def test_trajectory_write_memory_is_bounded_by_one_row(tmp_path):
@@ -527,6 +557,22 @@ def test_trajectory_write_memory_is_bounded_by_one_row(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "big.csv").stat().st_size > 20_000_000
     assert peak < 2_000_000
+
+
+def test_trajectory_read_memory_is_bounded_by_the_fields(tmp_path):
+    # the fields hold 60 x 20,001 values (9.6 MB); decoding row by row adds
+    # about one row, where a whole-file table would double the peak
+    traj = random_trajectory(20_001, 60)
+    path = tmp_path / "big.csv"
+    write_trajectory_csv(path, traj)
+    tracemalloc.start()
+    try:
+        back = read_trajectory_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back.fields) == 60
+    assert peak < 1.5 * 60 * 20_001 * 8
 
 
 class ChunkSourceFailed(Exception):
@@ -674,6 +720,9 @@ def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):
 
 # sha256 of report.json and trace.csv from `experiment` on a shipped config
 GOLDEN_EXPERIMENTS = {
+    "fde_kpp": (
+        "ab97f3bdf74f5adcebb80a4736f1a8f43df898df4589e7601bd20e2e2dbe1f53",
+        "fa3dac70668e63387ec99035719531e1f9505bf505fcb9777bd449c12fb87702"),
     "noacc": (
         "b8eee0b36ed1bcde7b3f598a12fc5f165adc52cb5e630df53488eacf68c5d8f3",
         "ed5c772485bd273ca027dbca7c64679065996426f7c8b7c82c27ad9af7e65c5b"),
@@ -687,8 +736,13 @@ GOLDEN_EXPERIMENTS = {
 def test_experiment_on_a_shipped_config_matches_the_golden_hashes(
         tmp_path, capsys, name):
     config = resources.files("frontlab") / "configs" / f"{name}.json"
+    exp, ana = tmp_path / "exp", tmp_path / "ana"
     assert main(["experiment", "--config", str(config),
-                 "--out", str(tmp_path)]) == 0
-    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                    for f in ("report.json", "trace.csv"))
-    assert digests == GOLDEN_EXPERIMENTS[name]
+                 "--out", str(exp)]) == 0
+    # analyze reads the trajectory back and must write the same bytes
+    assert main(["analyze", "--config", str(config), "--traj",
+                 str(exp / "trajectory.csv"), "--out", str(ana)]) == 0
+    for out in (exp, ana):
+        digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                        for f in ("report.json", "trace.csv"))
+        assert digests == GOLDEN_EXPERIMENTS[name], out.name

@@ -20,6 +20,7 @@ from frontlab.errors import (
 )
 from frontlab.model import (
     Field,
+    Grid,
     ModelParams,
     bundle_from_dict,
     field_build,
@@ -570,7 +571,8 @@ def oracle_step(field, dt, grid, config, params, clamp=None):
     buf = np.empty(3 * k - 1)
     d, e, rhs = buf[:k], buf[k:2 * k - 1], buf[2 * k - 1:]
     np.multiply(stencil.w[:k], a[:k], out=d)
-    np.divide(1.0, d, out=d)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(1.0, d, out=d)
     d += dt * stencil.inv_sum[:k]
     np.multiply(stencil.inv_h[:k - 1], -dt, out=e)
     np.multiply(rate_w[:k], dt, out=rhs)
@@ -580,7 +582,8 @@ def oracle_step(field, dt, grid, config, params, clamp=None):
     if info != 0:
         raise StabilityFailure(f"dptsv info={info}")
     delta = np.zeros(n)
-    np.divide(y, a[:k], out=delta[:k])
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(y, a[:k], out=delta[:k])
     if not np.isfinite(delta).all():
         raise StabilityFailure("non-finite solution")
     new = u + delta
@@ -633,6 +636,16 @@ def test_step_matches_the_reference_step_bit_for_bit(grid, right, m, beta,
         fld = step(fld, dt, grid, cfg, p, clamp)
         assert same_bits(fld.values, want)
         assert fld.t == t_want
+
+
+@pytest.mark.parametrize("m, u", [(2.0, 2.2e-311), (3.0, 1e-160)])
+def test_a_subnormal_diffusivity_is_a_typed_failure(m, u):
+    # m u^(m-1) is subnormal, so 1/(w a) overflows: the step must raise its
+    # own failure, not a numpy warning (which the test config makes an error)
+    grid = Grid(x=np.array([0.0, 0.2386, 0.4846, 0.7383, 1.0]))
+    fld = Field(values=np.full(grid.x.size, u), t=0.0)
+    with pytest.raises(StabilityFailure, match="non-finite"):
+        step(fld, 1.0, grid, SolverConfig(u_min=0.0), make_params(m, 2.0, 1.25))
 
 
 def test_kept_dt_parts_neither_go_stale_nor_change():
