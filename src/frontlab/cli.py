@@ -8,7 +8,7 @@ on stdout, is taken only by construct, analyze and experiment, which
 pretty-print without it. classify and shoot write no files. The other
 commands write JSON documents and CSV tables under --out, the working
 directory by default; construct and wave write files only when given --out.
-trajectory.csv writes each number as the 16 hex digits of its big-endian
+trajectory.csv holds each number as the 16 hex digits of its big-endian
 binary64 bits, so analyze reads back exactly what experiment computed.
 Each file is streamed chunk by chunk (one CSV row at a time) into a temp
 file beside its target, created with the mode open() would give it (0666
