@@ -3,11 +3,13 @@
 Subcommands: classify, construct, shoot, wave, simulate, analyze,
 experiment, sweep. Each takes only the flags it reads; any other flag exits
 2. --config, the JSON config document, is required by simulate, analyze and
-experiment and taken by no other command. --json, compact single-line JSON
-on stdout, is taken only by construct, analyze and experiment, which
-pretty-print without it. classify and shoot write no files. The other
-commands write JSON documents and CSV tables under --out, the working
-directory by default; construct and wave write files only when given --out.
+experiment and taken by no other command; all three parse it in one place,
+so analyze tracks experiment.level as experiment does. --json, compact
+single-line JSON on stdout, is taken only by construct, analyze and
+experiment, which pretty-print without it. classify and shoot write no
+files. The other commands write JSON documents and CSV tables under --out,
+the working directory by default; construct and wave write files only when
+given --out.
 trajectory.csv holds each number as the 16 hex digits of its big-endian
 binary64 bits, so analyze reads back exactly what experiment computed.
 Each file is streamed chunk by chunk (one CSV row at a time) into a temp
@@ -45,10 +47,9 @@ from .errors import (DomainError, FrontlabError, InfeasibleSelection,
                      RegimeMismatch)
 from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
                     config_number, config_section, default_reaction,
-                    field_build, params_from_dict, params_to_dict,
-                    read_config)
+                    field_build, params_to_dict, read_config)
 from .regimes import (KINDS, NUMBER_FIELD, Regime, classify, classify_row,
-                      envelopes, linear_speed_bound)
+                      envelopes)
 from .solver import (SolutionTrajectory, SolverConfig, discrete_residual,
                      simulate)
 
@@ -230,10 +231,14 @@ def read_trajectory_csv(path: Path) -> SolutionTrajectory:
                               max_residual=math.nan)
 
 
-def _solver_config_from(doc: dict) -> SolverConfig:
+def _run_config(doc: dict):
+    """The ConfigBundle, SolverConfig, level (default 0.5) and epsilon
+    (default None) of a run config: the one parser of simulate, analyze and
+    experiment, so they accept and refuse the same documents."""
+    bundle = bundle_from_dict(doc)
     sdoc = config_section(doc, "solver")
-    config_keys(sdoc, ("dt", "t_end", "snapshots", "scheme", "dt_control",
-                       "reaction_on", "right", "u_min"), "solver")
+    config_keys(sdoc, ("dt", "t_end", "snapshots", "scheme", "right",
+                       "u_min"), "solver")
     t_end = config_number(sdoc, "t_end", where="solver")
     snaps = sdoc.get("snapshots", ())
     if isinstance(snaps, dict):
@@ -243,35 +248,22 @@ def _solver_config_from(doc: dict) -> SolverConfig:
             raise DomainError(f"snapshot count must be a finite whole "
                               f"number >= 1, got {count}")
         snaps = np.linspace(0.0, t_end, int(count) + 1)[1:].tolist()
-    # one scheme and one step control; shipped configs still name them
+    # one scheme; shipped configs still name it
     scheme = sdoc.get("scheme", "semi-implicit")
     if scheme != "semi-implicit":
         raise DomainError(f"unknown scheme {scheme!r}; the solver steps "
                           "semi-implicitly")
-    dt_control = sdoc.get("dt_control", "fixed")
-    if dt_control != "fixed":
-        raise DomainError(f"unknown dt control {dt_control!r}; the solver "
-                          "steps at a fixed dt")
-    reaction_on = sdoc.get("reaction_on", True)
-    if not isinstance(reaction_on, bool):  # bool("false") would be True
-        raise DomainError("solver key 'reaction_on' must be true or false, "
-                          f"got {reaction_on!r}")
-    return SolverConfig(
+    cfg = SolverConfig(
         dt=config_number(sdoc, "dt", where="solver"),
         t_end=t_end,
         snapshots=snaps,
         right=sdoc.get("right", "analytic-clamp"),
         u_min=config_number(sdoc, "u_min", 1e-12, where="solver"),
-        reaction_on=reaction_on,
     )
-
-
-def _experiment_section(doc: dict) -> dict:
-    if "experiment" not in doc:
-        return {}
-    exp = config_section(doc, "experiment")
+    exp = config_section(doc, "experiment") if "experiment" in doc else {}
     config_keys(exp, ("level", "epsilon"), "experiment")
-    return exp
+    return (bundle, cfg, config_number(exp, "level", 0.5, where="experiment"),
+            config_number(exp, "epsilon", None, where="experiment"))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +367,7 @@ def _cmd_wave(args) -> int:
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     doc = read_config(args.config)
-    bundle = bundle_from_dict(doc)
-    cfg = _solver_config_from(doc)
+    bundle, cfg, _, _ = _run_config(doc)
     traj = simulate(bundle.data, bundle.grid, cfg, bundle.params)
     path = Path(args.out) / "trajectory.csv"
     write_trajectory_csv(path, traj)
@@ -389,9 +380,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _linear_report(traj: SolutionTrajectory, params: ModelParams,
+def _linear_report(params: ModelParams,
                    trace: analysis.LevelSetTrace) -> dict:
-    c_up = linear_speed_bound(params)
+    c_up = closedform.constant_speed_super(params).constants["c"]
     g = waves.g_fn(params.m, default_reaction(params))
     cert = waves.find_compact_support_speed(g, 0.5)
     half = trace.t >= 0.5 * (trace.t[0] + trace.t[-1])
@@ -418,7 +409,7 @@ def _analyze_traj(traj: SolutionTrajectory, params: ModelParams,
         fit = analysis.fit_polynomial_exponent(trace, reference=kind.exponent)
         sandwich = analysis.sandwich_check(trace, envelopes(params, eps))
     elif kind.regime is Regime.NO_ACCELERATION:
-        extra["linear"] = _linear_report(traj, params, trace)
+        extra["linear"] = _linear_report(params, trace)
     elif kind.regime is Regime.INFINITE_SPEED:
         sandwich = analysis.sandwich_check(trace, envelopes(params, eps))
     report = analysis.report_json(trace, fit, sandwich)
@@ -436,11 +427,9 @@ def _analyze_traj(traj: SolutionTrajectory, params: ModelParams,
 def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     doc = read_config(args.config)
-    params = params_from_dict(doc)
+    bundle, _, level, eps = _run_config(doc)
     traj = read_trajectory_csv(args.traj)
-    eps = config_number(_experiment_section(doc), "epsilon", None,
-                        where="experiment")
-    outputs = _analyze_traj(traj, params, args.level, eps, Path(args.out),
+    outputs = _analyze_traj(traj, bundle.params, level, eps, Path(args.out),
                             args.as_json)
     _emit_manifest(args, doc, outputs, t0)
     return 0
@@ -449,11 +438,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_experiment(args) -> int:
     t0 = time.perf_counter()
     doc = read_config(args.config)
-    bundle = bundle_from_dict(doc)
-    cfg = _solver_config_from(doc)
-    exp = _experiment_section(doc)
-    level = config_number(exp, "level", 0.5, where="experiment")
-    eps = config_number(exp, "epsilon", None, where="experiment")
+    bundle, cfg, level, eps = _run_config(doc)
     traj = simulate(bundle.data, bundle.grid, cfg, bundle.params)
     out_dir = Path(args.out)
     traj_path = out_dir / "trajectory.csv"
@@ -564,7 +549,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze",
                         help="track a level set in a saved trajectory")
     sp.add_argument("--traj", type=Path, required=True)
-    sp.add_argument("--level", type=float, default=0.5)
     _add_io_flags(sp, Path("."), config=True, as_json=True)
     sp.set_defaults(func=_cmd_analyze)
 

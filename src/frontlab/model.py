@@ -357,18 +357,21 @@ def config_number(doc: dict, key: str, default=_REQUIRED,
                   where: str = "config") -> float:
     """``doc[key]`` as a float, or ``default`` when the key is absent.
 
-    A missing key without a default, or a value float() refuses (a word,
-    null, a list), is a DomainError naming ``where`` and the key.
+    A missing key without a default, a boolean (float(True) is 1.0), or a
+    value float() refuses (a word, null, a list), is a DomainError naming
+    ``where`` and the key.
     """
     if key not in doc:
         if default is _REQUIRED:
             raise DomainError(f"{where} missing key {key!r}")
         return default
-    try:
-        return float(doc[key])
-    except (TypeError, ValueError):
-        raise DomainError(f"{where} key {key!r} must be a number, "
-                          f"got {doc[key]!r}") from None
+    value = doc[key]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{where} key {key!r} must be a number, got {value!r}")
 
 
 def params_from_dict(doc: dict) -> ModelParams:

@@ -258,12 +258,3 @@ def envelopes(params: ModelParams,
                     upper=None if hi is None else _desc_fn(hi),
                     T=T, lower_desc=lo, upper_desc=hi)
 
-
-def linear_speed_bound(params: ModelParams) -> float:
-    """A certified speed bounding the front from above (no-acceleration only)."""
-    kind = classify(params.m, params.alpha, params.beta)
-    if kind.regime is not Regime.NO_ACCELERATION:
-        raise RegimeMismatch(
-            "linear speed bound applies to the no-acceleration regime only")
-    from . import closedform
-    return closedform.constant_speed_super(params).constants["c"]

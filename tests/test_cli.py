@@ -94,8 +94,8 @@ def test_a_word_for_alpha_is_a_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
-# each command takes only the flags it reads; CFG and OUT stand for a
-# config file and an output directory
+# each command takes only the flags it reads; CFG, TRAJ and OUT stand for
+# a config file, a trajectory and an output directory
 _BASE_ARGV = {
     "classify": ["classify", "--m", "2", "--alpha", "2", "--beta", "1.25"],
     "construct": ["construct", "--kind", "pme-bump", "--m", "2", "--alpha",
@@ -103,6 +103,8 @@ _BASE_ARGV = {
     "shoot": ["shoot", "--c", "1", "--m", "0.5", "--beta", "1"],
     "wave": ["wave", "--c", "1", "--m", "0.5", "--beta", "1"],
     "simulate": ["simulate", "--config", "CFG", "--out", "OUT"],
+    "analyze": ["analyze", "--config", "CFG", "--traj", "TRAJ", "--out",
+                "OUT"],
     "sweep": ["sweep", "--m", "2", "--alpha-min", "1", "--alpha-max", "2",
               "--alpha-steps", "2", "--beta-min", "1", "--beta-max", "2",
               "--beta-steps", "2", "--out", "OUT"],
@@ -122,6 +124,8 @@ _FOREIGN_FLAGS = [
       for flag in (["--alpha", "8"], ["--r-bar", "2"], ["--C", "2"],
                    ["--C-bar", "2"], ["--s0", "0.7"], ["--x0", "3"])),
     ("simulate", ["--json"]),
+    # analyze tracks the level the config names
+    ("analyze", ["--level", "0.3"]),
     ("sweep", ["--config", "CFG"]), ("sweep", ["--json"]),
 ]
 
@@ -200,29 +204,39 @@ def test_infeasible_selection_exits_4(tmp_path):
     lambda d: d["grid"].update(ration=1.02),
     lambda d: d["experiment"].update(levle=0.5),
     lambda d: d.update(plateu=0.3),
+    lambda d: d.update(r=True),
+    lambda d: d["solver"].update(t_end=True),
 ], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
         "word-count", "zero-count", "null-solver", "string-reaction-on",
         "word-level", "fractional-n", "fractional-count", "explicit-scheme",
         "cfl-dt-control", "unknown-solver-key", "zero-flux-right",
         "unknown-snapshots-key",
         "unknown-grid-key", "unknown-experiment-key",
-        "unknown-top-level-key"])
+        "unknown-top-level-key", "bool-r", "bool-t-end"])
 def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     path = tiny_config(tmp_path)
+    # a trajectory that analyze accepts with the unspoiled config
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "good")]) == 0
+    traj = tmp_path / "good" / "trajectory.csv"
     doc = json.loads(path.read_text())
     spoil(doc)
     path.write_text(json.dumps(doc))
-    rc = main(["experiment", "--config", str(path),
-               "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("frontlab: ")
-    if "unknown key" in err:  # the message names the misspelled key
-        assert any(f"'{k}'" in err
-                   for k in ("rigth", "last", "ration", "levle", "plateu"))
-    if "policy" in err:  # and the right-edge policy it does not know
-        assert "'zero-flux'" in err
-    assert not (tmp_path / "out").exists()
+    # the three commands that take a config refuse the same documents
+    for argv in (["simulate"], ["analyze", "--traj", str(traj)],
+                 ["experiment"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, argv[0]
+        assert err.startswith("frontlab: ")
+        if "unknown key" in err:  # the message names the misspelled key
+            assert any(f"'{k}'" in err
+                       for k in ("rigth", "last", "ration", "levle", "plateu",
+                                 "dt_control", "reaction_on"))
+        if "policy" in err:  # and the right-edge policy it does not know
+            assert "'zero-flux'" in err
+        assert not out.exists(), argv[0]
 
 
 def test_whole_valued_float_counts_are_accepted(tmp_path):
@@ -425,6 +439,20 @@ def test_simulate_then_analyze_round_trip(tmp_path, capsys):
     trace_lines = (d2 / "trace.csv").read_text().splitlines()
     assert trace_lines[0] == "t,x_lambda"
     assert len(trace_lines) == 1 + 41  # every frame crosses the 0.5 level
+
+
+def test_analyze_tracks_the_level_the_config_names(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["experiment"]["level"] = 0.3
+    cfg.write_text(json.dumps(doc))
+    exp, ana = tmp_path / "exp", tmp_path / "ana"
+    assert main(["experiment", "--config", str(cfg), "--out", str(exp)]) == 0
+    assert main(["analyze", "--config", str(cfg), "--traj",
+                 str(exp / "trajectory.csv"), "--out", str(ana)]) == 0
+    assert json.loads((ana / "report.json").read_text())["lambda"] == 0.3
+    for name in ("report.json", "trace.csv"):
+        assert (ana / name).read_bytes() == (exp / name).read_bytes(), name
 
 
 TRAJECTORY_HEADER = ("# frontlab trajectory: binary64 big-endian hex cells; "

@@ -16,7 +16,6 @@ from frontlab.regimes import (
     classify_row,
     envelopes,
     gamma_effective,
-    linear_speed_bound,
 )
 from frontlab.waves import find_compact_support_speed, g_fn
 
@@ -374,16 +373,3 @@ def test_lower_only_pair_orders_after_initial_crossing():
     assert env.lower(0.999 * env.T) > env.upper(0.999 * env.T)
     assert env.lower(1.001 * env.T) < env.upper(1.001 * env.T)
 
-
-# --- linear speed bound -----------------------------------------------------
-
-def test_linear_speed_bound_exceeds_base():
-    c = linear_speed_bound(make_params(2.0, 2.0, 2.0))
-    assert c > 1.0  # base bound r_bar (beta-1) K^(beta-1) = 1
-    p = make_params(2.0, 2.0, 3.0, r=2.0, r_bar=2.0, C=2.0, C_bar=2.0)
-    assert linear_speed_bound(p) > 16.0
-
-
-def test_linear_speed_bound_needs_no_acceleration():
-    with pytest.raises(RegimeMismatch):
-        linear_speed_bound(make_params(2.0, 2.0, 1.25))

@@ -11,7 +11,7 @@ from scipy.linalg.lapack import dptsv
 
 from frontlab import solver as solver_module
 from frontlab.analysis import track_level
-from frontlab.cli import _solver_config_from
+from frontlab.cli import _run_config
 from frontlab.closedform import pme_bump_params
 from frontlab.errors import (
     DomainError,
@@ -327,8 +327,8 @@ def test_each_snapshot_interval_takes_whole_equal_steps():
     # noacc's 80 intervals of 0.5 at dt = 0.01: exactly 50 steps each
     doc = json.loads((resources.files("frontlab") / "configs"
                       / "noacc.json").read_text())
-    b = bundle_from_dict(doc)
-    traj = simulate(b.data, b.grid, _solver_config_from(doc), b.params)
+    b, cfg, _, _ = _run_config(doc)
+    traj = simulate(b.data, b.grid, cfg, b.params)
     assert traj.dt_history.size == 4000
     assert np.unique(traj.dt_history).size == 1
     # gaps of 0.3 and 0.45 at dt = 0.1: 3 steps of 0.1, then 5 of 0.09
