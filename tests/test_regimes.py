@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from frontlab.closedform import constant_speed_super
 from frontlab.errors import DomainError, RegimeMismatch
 from frontlab.model import ModelParams, default_reaction
 from frontlab.regimes import (
@@ -373,3 +374,12 @@ def test_lower_only_pair_orders_after_initial_crossing():
     assert env.lower(0.999 * env.T) > env.upper(0.999 * env.T)
     assert env.lower(1.001 * env.T) < env.upper(1.001 * env.T)
 
+
+# --- linear speed bound -----------------------------------------------------
+
+def test_linear_speed_bound_exceeds_base():
+    # the c_upper of a no-acceleration report: constant_speed_super's speed
+    c = constant_speed_super(make_params(2.0, 2.0, 2.0)).constants["c"]
+    assert c > 1.0  # base bound r_bar (beta-1) K^(beta-1) = 1
+    p = make_params(2.0, 2.0, 3.0, r=2.0, r_bar=2.0, C=2.0, C_bar=2.0)
+    assert constant_speed_super(p).constants["c"] > 16.0

@@ -489,10 +489,12 @@ def test_solve_matches_the_dense_system_on_random_grids(grid, dt, data):
                                 elements=st.floats(-1.0, 1.0)))
     # the solve is linear in rate, so scaling it to a unit maximum loses no
     # case; it keeps the solution out of the subnormal range, where a float
-    # holds fewer digits than the 1e-12 bound asks of either solver
-    peak = np.max(np.abs(rate))
+    # holds fewer digits than the 1e-12 bound asks of either solver. Only
+    # the rows the solve reads are scaled: the Dirichlet row drops rate[-1],
+    # so a unit rate[-1] over subnormal others left the solution subnormal
+    peak = np.max(np.abs(rate[:-1]))
     if peak > 0.0:
-        rate = rate / peak
+        rate[:-1] /= peak
     A = np.eye(n) - dt * dense_second_diff(grid.x) * a[None, :]
     b = dt * rate
     A[-1] = 0.0
