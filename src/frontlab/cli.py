@@ -4,12 +4,13 @@ Subcommands: classify, construct, shoot, wave, simulate, analyze,
 experiment, sweep. Each takes only the flags it reads; any other flag exits
 2. --config, the JSON config document, is required by simulate, analyze and
 experiment and taken by no other command; all three parse it in one place,
-so analyze tracks experiment.level as experiment does. --json, compact
-single-line JSON on stdout, is taken only by construct, analyze and
-experiment, which pretty-print without it. classify and shoot write no
-files. The other commands write JSON documents and CSV tables under --out,
-the working directory by default; construct and wave write files only when
-given --out.
+so analyze tracks experiment.level as experiment does. analyze refuses a
+trajectory whose grid nodes are not the config's grid, bit for bit.
+--json, compact single-line JSON on stdout, is taken only by construct,
+analyze and experiment, which pretty-print without it. classify and shoot
+write no files. The other commands write JSON documents and CSV tables
+under --out, the working directory by default; construct and wave write
+files only when given --out.
 trajectory.csv holds each number as the 16 hex digits of its big-endian
 binary64 bits, so analyze reads back exactly what experiment computed.
 Each file is streamed chunk by chunk (one CSV row at a time) into a temp
@@ -36,7 +37,6 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -53,18 +53,7 @@ from .regimes import (KINDS, NUMBER_FIELD, Regime, classify, classify_row,
 from .solver import (SolutionTrajectory, SolverConfig, discrete_residual,
                      simulate)
 
-__all__ = ["main", "RunManifest"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What ran, on what input, producing which files, in how long."""
-
-    subcommand: str
-    config: dict
-    outputs: tuple
-    wall_clock_s: float
-    input_sha256: str
+__all__ = ["main"]
 
 
 def _canonical(doc: dict) -> str:
@@ -119,11 +108,12 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _emit_manifest(args, config_doc: dict, outputs, t0: float) -> None:
-    man = RunManifest(subcommand=args.command, config=config_doc,
-                      outputs=tuple(str(p) for p in outputs),
-                      wall_clock_s=time.perf_counter() - t0,
-                      input_sha256=_sha256(config_doc))
-    _write_json(Path(args.out) / f"{args.command}_manifest.json", asdict(man))
+    """Write what ran, on what input, producing which files, in how long."""
+    man = {"subcommand": args.command, "config": config_doc,
+           "outputs": [str(p) for p in outputs],
+           "wall_clock_s": time.perf_counter() - t0,
+           "input_sha256": _sha256(config_doc)}
+    _write_json(Path(args.out) / f"{args.command}_manifest.json", man)
 
 
 def _params_from_args(args) -> ModelParams:
@@ -429,6 +419,14 @@ def _cmd_analyze(args) -> int:
     doc = read_config(args.config)
     bundle, _, level, eps = _run_config(doc)
     traj = read_trajectory_csv(args.traj)
+    # the hex cells are exact, so a trajectory of this config's run holds
+    # its grid to the bit; any other is refused, not analysed as this model
+    x, x_cfg = traj.grid.x, bundle.grid.x
+    if x.tobytes() != x_cfg.tobytes():
+        raise DomainError(
+            f"trajectory grid ({x.size} nodes on [{x[0]:g}, {x[-1]:g}]) is "
+            f"not the config's grid ({x_cfg.size} nodes on "
+            f"[{x_cfg[0]:g}, {x_cfg[-1]:g}])")
     outputs = _analyze_traj(traj, bundle.params, level, eps, Path(args.out),
                             args.as_json)
     _emit_manifest(args, doc, outputs, t0)

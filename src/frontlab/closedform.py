@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (BlowUp, DomainError, InfeasibleSelection, RegimeMismatch)
 from .model import (InitialData, ModelParams, default_reaction,
                     initial_data_build)
-from .regimes import Regime, classify, gamma_effective
+from .regimes import UPPER_REGIMES, Regime, classify, gamma_effective
 
 __all__ = [
     "GrowthSolution", "SubsolutionSpec", "Check",
     "growth_eval", "level_curve",
     "pme_bump_params", "fde_sub_params", "appendix_sub_params",
-    "growth_super", "constant_speed_super", "right_tail_spec", "describe",
+    "growth_super", "edge_clamp", "constant_speed_super", "right_tail_spec",
+    "describe",
 ]
 
 
@@ -161,6 +162,37 @@ def _enlarge_tail(ok, C: float, x0: float, a: float, onset_margin: float,
     raise InfeasibleSelection(message)
 
 
+def _slow_tail_terms(m: float, alpha: float, beta: float, C: float,
+                     x: float) -> tuple:
+    # m|phi'| and phi^2 on [x, inf) for the tail C/x^alpha, m >= 1, where
+    # phi = alpha / (C^(beta-1) x^(1 - alpha (beta-1)))
+    ab1 = alpha * (beta - 1.0)
+    slope = m * alpha * (1.0 - ab1) / (C ** (beta - 1.0) * x ** (2.0 - ab1))
+    phi2 = (alpha / (C ** (beta - 1.0) * x ** (1.0 - ab1))) ** 2
+    return slope, phi2
+
+
+def _fast_tail_first(m: float, g: float, beta: float, C: float,
+                     x: float) -> float:
+    # the first tail estimate on [x, inf) for the tail C/x^g, m < 1
+    return (m * g * C ** (m - beta) * (g + 1.0 - g * beta)
+            / x ** (2.0 + (m - beta) * g))
+
+
+def _samples(pieces) -> tuple:
+    # aligned (t, x) sample arrays from (t, x) pieces, each an array and a
+    # number; np.full_like, as np.broadcast_arrays costs ~10 us a call
+    ts, xs = [], []
+    for t, x in pieces:
+        if np.ndim(t):
+            x = np.full_like(t, x)
+        else:
+            t = np.full_like(x, t)
+        ts.append(t)
+        xs.append(x)
+    return np.concatenate(ts), np.concatenate(xs)
+
+
 # ---------------------------------------------------------------------------
 # growth solutions and level curves
 
@@ -243,14 +275,13 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     eta = 1.5 * max(beta - 1.0, 1.0)
     rho = _rho_midpoint(r, eps, beta, eta)
 
-    ab1 = alpha * (beta - 1.0)  # < 1 in this regime
-
+    # alpha (beta-1) < 1 in this regime
     def slope_term(x):
-        return m * alpha * (1.0 - ab1) / (C ** (beta - 1.0) * x ** (2.0 - ab1))
+        return _slow_tail_terms(m, alpha, beta, C, x)[0]
 
     def curv_term(x):
-        phi2 = (alpha / (C ** (beta - 1.0) * x ** (1.0 - ab1))) ** 2
-        return slope_term(x) + m * (2.0 * m + beta + eta - 1.0) * phi2
+        slope, phi2 = _slow_tail_terms(m, alpha, beta, C, x)
+        return slope + m * (2.0 * m + beta + eta - 1.0) * phi2
 
     rhs_slope = r - rho
     rhs_curv = rho - r * beta / (1.0 + eta)
@@ -285,14 +316,12 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
 
     def sampler():
         x_lo = max((C / (0.45 * cut)) ** (1.0 / alpha), 1.1 * x1)
-        ts, xs = [], []
+        pieces = []
         for x in np.geomspace(x_lo, 3.0 * x_lo, 32):
             u_here = C / x ** alpha
             t_hi = _time_to_reach(u_here, 0.9 * cut, rho, beta)
-            tt = np.linspace(0.01, max(t_hi, 0.02), 8)
-            ts.append(tt)
-            xs.append(np.full_like(tt, x))
-        return np.concatenate(ts), np.concatenate(xs)
+            pieces.append((np.linspace(0.01, max(t_hi, 0.02), 8), x))
+        return _samples(pieces)
 
     constants = {"eta": eta, "rho": rho, "x1": x1, "kappa": kappa, "A": A,
                  "cut": cut, "bump_max": bump_max, "epsilon": eps,
@@ -328,15 +357,12 @@ def _plateau_cut_spec(datum: InitialData, tail_C: float, tail_exp: float,
         return out
 
     def sampler():
-        ts, xs = [], []
+        pieces = []
         for t in np.linspace(t_floor + 0.5, t_floor + 4.0, 6):
             Xt = X_of_t(t)
-            x_flat = np.linspace(0.4 * Xt, 0.93 * Xt, 8)
-            x_tail = np.geomspace(1.07 * Xt, 6.0 * Xt, 32)
-            both = np.concatenate([x_flat, x_tail])
-            ts.append(np.full_like(both, t))
-            xs.append(both)
-        return np.concatenate(ts), np.concatenate(xs)
+            pieces.append((t, np.linspace(0.4 * Xt, 0.93 * Xt, 8)))
+            pieces.append((t, np.geomspace(1.07 * Xt, 6.0 * Xt, 32)))
+        return _samples(pieces)
 
     return theta_star, plateau_val, evaluate, sampler
 
@@ -370,8 +396,7 @@ def fde_sub_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     pow_x3 = 2.0 + 2.0 * gamma * (1.0 - beta)  # > 0 in this regime
 
     def lhs1(Cv, xv):
-        return (m * gamma * Cv ** (m - beta) * (gamma + 1.0 - gamma * beta)
-                / xv ** pow_x)
+        return _fast_tail_first(m, gamma, beta, Cv, xv)
 
     def lhs2(Cv, xv):
         return (2.0 ** (1.0 - m) * m * eta
@@ -545,6 +570,14 @@ def appendix_sub_params(params: ModelParams,
 # ---------------------------------------------------------------------------
 # clamped growth supersolution
 
+def _tail_exponent(params: ModelParams, kind, eps: float) -> float:
+    # a of the supersolution's tail C_bar/x^a: 2/(beta-m+eps) in the
+    # lower-only regime, else the effective tail exponent
+    if kind.regime is Regime.POLY_LOWER_ONLY:
+        return 2.0 / (params.beta - params.m + eps)
+    return gamma_effective(params.m, params.alpha)
+
+
 def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     """Resolve the supersolution min(1, w) with rho = r_bar + eps/2.
 
@@ -561,28 +594,16 @@ def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     if not 0.0 < eps < params.r:
         raise InfeasibleSelection("clamped growth: need 0 < epsilon < r")
     kind = classify(m, alpha, beta)
-    if kind.regime not in (Regime.EXPONENTIAL, Regime.POLYNOMIAL,
-                           Regime.POLY_LOWER_ONLY):
+    if kind.regime not in UPPER_REGIMES:
         raise RegimeMismatch(
             "clamped growth supersolution needs a regime with an upper envelope")
     rho = params.r_bar + 0.5 * eps
-
-    critical = False
-    if m >= 1.0:
-        a_eff = alpha
-    elif kind.regime is Regime.POLY_LOWER_ONLY:
-        a_eff = 2.0 / (beta - m + eps)
-    else:
-        a_eff = gamma_effective(m, alpha)
-        critical = (beta == 1.0 and alpha > 2.0 / (1.0 - m))
+    a_eff = _tail_exponent(params, kind, eps)
+    critical = m < 1.0 and beta == 1.0 and alpha > 2.0 / (1.0 - m)
 
     if m >= 1.0:
-        ab1 = alpha * (beta - 1.0)
-
         def tail_lhs(Cv, xv):
-            phi_p = m * alpha * (1.0 - ab1) / (Cv ** (beta - 1.0)
-                                               * xv ** (2.0 - ab1))
-            phi_2 = (alpha / (Cv ** (beta - 1.0) * xv ** (1.0 - ab1))) ** 2
+            phi_p, phi_2 = _slow_tail_terms(m, alpha, beta, Cv, xv)
             return phi_p + m * (m + beta - 1.0) * phi_2
 
         rhs = 0.5 * eps
@@ -592,8 +613,7 @@ def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         pow_c = 2.0 * g * (1.0 - beta) + 2.0
 
         def tail_lhs(Cv, xv):
-            t1 = (m * g * Cv ** (m - beta) * (g + 1.0 - g * beta)
-                  / xv ** pow_a)
+            t1 = _fast_tail_first(m, g, beta, Cv, xv)
             t2 = (m * (m + beta - 1.0) * g ** 2 * Cv ** (m - beta)
                   / xv ** pow_a)
             t3 = (m * (m + beta - 1.0) * g ** 2 * Cv ** (2.0 - 2.0 * beta)
@@ -628,19 +648,16 @@ def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         return np.minimum(1.0, w)
 
     def sampler():
-        ts, xs = [], []
+        pieces = []
         theta = min(0.9, 0.9 * onset)
         for t in np.linspace(0.5, 5.0, 6):
             lead = level_curve(theta, t, C_eff, a_eff, beta, rho)
-            x_here = np.geomspace(max(1.05 * x0_eff, lead),
-                                  6.0 * max(1.05 * x0_eff, lead), 32)
-            ts.append(np.full_like(x_here, t))
-            xs.append(x_here)
+            pieces.append((t, np.geomspace(max(1.05 * x0_eff, lead),
+                                           6.0 * max(1.05 * x0_eff, lead),
+                                           32)))
         # the clamped plateau behind the onset stays pinned at 1
-        x_flat = np.linspace(0.2 * x0_eff, 0.9 * x0_eff, 8)
-        ts.append(np.full_like(x_flat, 0.5))
-        xs.append(x_flat)
-        return np.concatenate(ts), np.concatenate(xs)
+        pieces.append((0.5, np.linspace(0.2 * x0_eff, 0.9 * x0_eff, 8)))
+        return _samples(pieces)
 
     constants = {"rho": rho, "x0": x0_eff, "C": C_eff,
                  "tail_exponent": a_eff, "epsilon": eps,
@@ -648,6 +665,31 @@ def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     return SubsolutionSpec(kind="growth-super", constants=constants,
                            checks=checks, evaluate=evaluate, sampler=sampler,
                            sign=+1)
+
+
+def edge_clamp(params: ModelParams, kind,
+               x_right: float) -> Optional[Callable]:
+    """t -> min(1, w(t, x_right)) of the growth supersolution, the value
+    the solver's analytic-clamp edge holds; None without an upper envelope.
+
+    w grows the bare tail value C_bar/x_right^a (cut at 0.5, not enlarged)
+    at the rate r_bar + eps/2, eps = 0.1 r, so the edge value stays tight.
+    """
+    if kind.regime not in UPPER_REGIMES:
+        return None
+    eps = 0.1 * params.r
+    v0 = min(params.C_bar / x_right ** _tail_exponent(params, kind, eps), 0.5)
+    rho = params.r_bar + 0.5 * eps
+    beta = params.beta
+
+    # Python floats, not numpy arrays: numpy's pow and exp can round the
+    # last bit differently, and the edge value enters every step of a run
+    def clamp(t: float) -> float:
+        if beta == 1.0:
+            return min(1.0, v0 * math.exp(rho * t))
+        base = v0 ** (1.0 - beta) - rho * (beta - 1.0) * t
+        return 1.0 if base <= 0.0 else min(1.0, base ** (-1.0 / (beta - 1.0)))
+    return clamp
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +767,11 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
         return np.where(z <= z0, 1.0, K / np.maximum(z, z0) ** p)
 
     def sampler():
-        ts, xs = [], []
+        pieces = []
         for t in np.linspace(0.5, 5.0, 6):
             z = np.geomspace(1.1 * z0, 10.0 * z2, 40)
-            ts.append(np.full_like(z, t))
-            xs.append(z + shift + c * t)
-        return np.concatenate(ts), np.concatenate(xs)
+            pieces.append((t, z + shift + c * t))
+        return _samples(pieces)
 
     constants = {"K": K, "p": p, "c": c, "z0": z0, "z1": z1, "z2": z2,
                  "shift": shift, "residual_max": resid_max}
@@ -769,12 +810,11 @@ def right_tail_spec(params: ModelParams, eps: float = 0.1) -> SubsolutionSpec:
 
     def sampler():
         xi_min = -math.log(1.0 - eps) / mu
-        ts, xs = [], []
+        pieces = []
         for t in np.linspace(0.5, 3.0, 6):
             xi = np.linspace(1.5 * xi_min + 0.5, xi_min + 20.0 / mu, 40)
-            ts.append(np.full_like(xi, t))
-            xs.append(x0 + t + xi)
-        return np.concatenate(ts), np.concatenate(xs)
+            pieces.append((t, x0 + t + xi))
+        return _samples(pieces)
 
     constants = {"eps": eps, "mu": mu, "x0": x0, "positivity_min": margin}
     return SubsolutionSpec(kind="right-tail", constants=constants,

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import waves
 from .errors import DomainError, RegimeMismatch
 from .model import ModelParams, default_reaction
 
@@ -69,6 +70,9 @@ KINDS = (
 )
 NUMBER_FIELD = {Regime.EXPONENTIAL: "gamma", Regime.POLYNOMIAL: "exponent",
                 Regime.POLY_LOWER_ONLY: "exponent"}
+# the regimes with an upper envelope, and so a growth supersolution
+UPPER_REGIMES = (Regime.EXPONENTIAL, Regime.POLYNOMIAL,
+                 Regime.POLY_LOWER_ONLY)
 _DOMAIN_MESSAGES = ("m must be positive, got {m}",
                     "beta must be >= 1, got {beta}",
                     "alpha must lie in (0, inf] with a finite 1/alpha, "
@@ -78,11 +82,14 @@ _DOMAIN_MESSAGES = ("m must be positive, got {m}",
 
 
 def gamma_effective(m: float, alpha: float) -> float:
-    """Effective tail exponent min(alpha, 2/(1-m)); fast diffusion only."""
-    if not 0 < m < 1:
-        raise DomainError("gamma_effective requires 0 < m < 1")
+    """Effective tail exponent: alpha for m >= 1, min(alpha, 2/(1-m)) for
+    fast diffusion, since the equation fattens any lighter tail."""
+    if not m > 0:
+        raise DomainError("gamma_effective requires m > 0")
     if not alpha > 0:
         raise DomainError("alpha must lie in (0, inf]")
+    if m >= 1:
+        return alpha
     return min(alpha, 2.0 / (1.0 - m))
 
 
@@ -183,22 +190,6 @@ class Envelope:
     lower: Callable[[np.ndarray], np.ndarray]
     upper: Optional[Callable[[np.ndarray], np.ndarray]]
     T: float
-    lower_desc: dict
-    upper_desc: Optional[dict]
-
-
-def _desc_fn(desc: dict) -> Callable[[np.ndarray], np.ndarray]:
-    kind = desc["kind"]
-    if kind == "exp":
-        rate = desc["rate"]
-        return lambda t: np.exp(rate * np.asarray(t, dtype=float))
-    if kind == "pow":
-        a, p = desc["prefactor"], desc["exponent"]
-        return lambda t: (a * np.asarray(t, dtype=float)) ** p
-    if kind == "linear":
-        c = desc["speed"]
-        return lambda t: c * np.asarray(t, dtype=float)
-    raise DomainError(f"unknown envelope descriptor kind {kind!r}")
 
 
 def envelopes(params: ModelParams,
@@ -224,37 +215,33 @@ def envelopes(params: ModelParams,
 
     m, beta = params.m, params.beta
     if kind.regime is Regime.EXPONENTIAL:
-        lo = {"kind": "exp", "rate": (params.r - eps) * kind.gamma}
-        hi = {"kind": "exp", "rate": (params.r_bar + eps) * kind.gamma}
-    elif kind.regime in (Regime.POLYNOMIAL, Regime.POLY_LOWER_ONLY):
-        a_eff = params.alpha if m >= 1 else gamma_effective(m, params.alpha)
-        lo = {"kind": "pow",
-              "prefactor": (params.r - eps) * params.C ** (beta - 1.0) * (beta - 1.0),
-              "exponent": 1.0 / (a_eff * (beta - 1.0))}
-        if kind.regime is Regime.POLYNOMIAL:
-            p_hi = 1.0 / (a_eff * (beta - 1.0))
-        else:
-            p_hi = (beta - m + eps) / (2.0 * (beta - 1.0))
-        hi = {"kind": "pow",
-              "prefactor": (params.r_bar + eps) * params.C_bar ** (beta - 1.0) * (beta - 1.0),
-              "exponent": p_hi}
-    else:  # infinite speed: no localization, only the linear floor
-        from . import waves
+        lo_rate = (params.r - eps) * kind.gamma
+        hi_rate = (params.r_bar + eps) * kind.gamma
+        return Envelope(
+            lower=lambda t: np.exp(lo_rate * np.asarray(t, dtype=float)),
+            upper=lambda t: np.exp(hi_rate * np.asarray(t, dtype=float)),
+            T=1.0)
+    if kind.regime is Regime.INFINITE_SPEED:
+        # no localization, only the linear floor
         g = waves.g_fn(m, default_reaction(params))
-        lo = {"kind": "linear",
-              "speed": waves.find_compact_support_speed(g, 0.5).c0}
-        hi = None
+        c0 = waves.find_compact_support_speed(g, 0.5).c0
+        return Envelope(lower=lambda t: c0 * np.asarray(t, dtype=float),
+                        upper=None, T=1.0)
 
+    # polynomial and lower-only: (A t)^p below, (B t)^q above, with
+    # p = 1/(a_eff (beta-1)) the classified exponent
+    p = kind.exponent
+    A = (params.r - eps) * params.C ** (beta - 1.0) * (beta - 1.0)
+    B = (params.r_bar + eps) * params.C_bar ** (beta - 1.0) * (beta - 1.0)
     T = 1.0
-    if kind.regime is Regime.POLY_LOWER_ONLY:
+    if kind.regime is Regime.POLYNOMIAL:
+        q = p
+    else:
+        q = (beta - m + eps) / (2.0 * (beta - 1.0))
         # the coarser monomial upper bound starts below the lower one and
         # overtakes it where (A t)^p = (B t)^q; order only holds past that
-        p, q = lo["exponent"], hi["exponent"]
-        A, B = lo["prefactor"], hi["prefactor"]
         t_cross = math.exp((p * math.log(A) - q * math.log(B)) / (q - p))
         T = max(1.0, t_cross * (1.0 + 1e-9))
-
-    return Envelope(lower=_desc_fn(lo),
-                    upper=None if hi is None else _desc_fn(hi),
-                    T=T, lower_desc=lo, upper_desc=hi)
-
+    return Envelope(lower=lambda t: (A * np.asarray(t, dtype=float)) ** p,
+                    upper=lambda t: (B * np.asarray(t, dtype=float)) ** q,
+                    T=T)

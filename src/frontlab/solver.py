@@ -2,8 +2,9 @@
 
 Nonuniform 3-point Laplacian, semi-implicit (lagged diffusivity) time
 stepping in ceil(g/dt) equal steps over each snapshot interval g, zero-flux
-left boundary, and a Dirichlet right boundary: held at zero or at an
-analytic growth clamp, so the heavy tail is not truncated.
+left boundary, and a Dirichlet right boundary: held at zero or at the
+growth supersolution's edge value (``closedform.edge_clamp``), so the
+heavy tail is not truncated.
 
 Every stencil reads the grid's dt-independent factors (``Grid.stencil``,
 built once per grid on first use), and the system's dt-only parts are
@@ -25,10 +26,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
+from .closedform import edge_clamp
 from .errors import DomainError, DomainExhausted, StabilityFailure
 from .model import (Field, Grid, ModelParams, field_build, reaction_eval,
                     rightmost_crossing)
-from .regimes import Regime, classify, envelopes, gamma_effective
+from .regimes import UPPER_REGIMES, classify, envelopes
 
 __all__ = ["SolverConfig", "SolutionTrajectory", "ResidualReport", "step",
            "simulate", "discrete_residual"]
@@ -59,6 +61,9 @@ class SolverConfig:
         if not 0.0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
         try:
+            # float(True) is 1.0, so a boolean must be refused before it
+            if any(isinstance(s, bool) for s in self.snapshots):
+                raise TypeError
             snaps = tuple(float(s) for s in self.snapshots)
         except (TypeError, ValueError):
             raise DomainError("snapshot times must be numbers, got "
@@ -202,35 +207,6 @@ def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
     return Field(values=new, t=float(t_new))
 
 
-_UPPER_REGIMES = (Regime.EXPONENTIAL, Regime.POLYNOMIAL,
-                  Regime.POLY_LOWER_ONLY)
-
-
-def _tail_clamp(params: ModelParams, kind, x_right: float) -> Optional[Callable]:
-    # growth of the pure tail value at x_R, at the supersolution rate; kept
-    # unshifted and unenlarged so the boundary value stays tight.
-    eps = 0.1 * params.r
-    if kind.regime is Regime.POLY_LOWER_ONLY:
-        a_eff = 2.0 / (params.beta - params.m + eps)
-    elif kind.regime in (Regime.EXPONENTIAL, Regime.POLYNOMIAL):
-        a_eff = (params.alpha if params.m >= 1.0
-                 else gamma_effective(params.m, params.alpha))
-    else:
-        return None
-    if math.isinf(a_eff):
-        return None
-    v0 = min(params.C_bar / x_right ** a_eff, 0.5)
-    rho = params.r_bar + 0.5 * eps
-    beta = params.beta
-
-    def clamp(t: float) -> float:
-        if beta == 1.0:
-            return min(1.0, v0 * math.exp(rho * t))
-        base = v0 ** (1.0 - beta) - rho * (beta - 1.0) * t
-        return 1.0 if base <= 0.0 else min(1.0, base ** (-1.0 / (beta - 1.0)))
-    return clamp
-
-
 def simulate(u0, grid: Grid, config: SolverConfig,
              params: ModelParams) -> SolutionTrajectory:
     """March to the last snapshot (the schedule, or ten even times up to
@@ -253,16 +229,14 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     clamp = None
     if config.reaction_on:
         kind = classify(params.m, params.alpha, params.beta)
-        if kind.regime in _UPPER_REGIMES:
-            env = envelopes(params)
-            if env.upper is not None:
-                x_need = 1.25 * float(env.upper(schedule[-1]))
-                if grid.x[-1] < x_need:
-                    raise DomainError(
-                        f"grid right edge {grid.x[-1]:.4g} is below 1.25x "
-                        f"the predicted front position {x_need:.4g}")
+        if kind.regime in UPPER_REGIMES:
+            x_need = 1.25 * float(envelopes(params).upper(schedule[-1]))
+            if grid.x[-1] < x_need:
+                raise DomainError(
+                    f"grid right edge {grid.x[-1]:.4g} is below 1.25x "
+                    f"the predicted front position {x_need:.4g}")
         if config.right == "analytic-clamp":
-            clamp = _tail_clamp(params, kind, float(grid.x[-1]))
+            clamp = edge_clamp(params, kind, float(grid.x[-1]))
 
     vals0 = np.clip(np.asarray(u0(grid.x), dtype=float), 0.0, 1.0)
     fld = field_build(vals0, 0.0)

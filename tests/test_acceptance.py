@@ -126,9 +126,11 @@ def test_ac02_polynomial_acceleration_sandwich_and_exponent():
 
 def test_ac03_kpp_exponential_rate_and_sandwich():
     p = P(0.5, 8.0, 1.0)
-    grid = grid_build("geometric", -10.0, 2.2e38, 26000, ratio=1.0035)
-    cfg = SolverConfig(dt=0.015, t_end=320.0,
-                       snapshots=tuple(np.linspace(3.2, 320.0, 100)))
+    # containment starts near t = 35, well before the trace's midpoint
+    # (t = 63), so t_end 120 tests both claims
+    grid = grid_build("geometric", -10.0, 1e20, 13000, ratio=1.0035)
+    cfg = SolverConfig(dt=0.015, t_end=120.0,
+                       snapshots=tuple(np.linspace(1.2, 120.0, 100)))
     traj = simulate(initial_data_build(1.0, 8.0, 2.0, 1.0), grid, cfg, p)
     trace = track_level(traj, 0.5)
 

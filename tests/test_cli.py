@@ -206,13 +206,14 @@ def test_infeasible_selection_exits_4(tmp_path):
     lambda d: d.update(plateu=0.3),
     lambda d: d.update(r=True),
     lambda d: d["solver"].update(t_end=True),
+    lambda d: d["solver"].update(snapshots=[True, 2.0]),
 ], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
         "word-count", "zero-count", "null-solver", "string-reaction-on",
         "word-level", "fractional-n", "fractional-count", "explicit-scheme",
         "cfl-dt-control", "unknown-solver-key", "zero-flux-right",
         "unknown-snapshots-key",
         "unknown-grid-key", "unknown-experiment-key",
-        "unknown-top-level-key", "bool-r", "bool-t-end"])
+        "unknown-top-level-key", "bool-r", "bool-t-end", "bool-snapshot"])
 def test_malformed_config_exits_2(tmp_path, capsys, spoil):
     path = tiny_config(tmp_path)
     # a trajectory that analyze accepts with the unspoiled config
@@ -453,6 +454,27 @@ def test_analyze_tracks_the_level_the_config_names(tmp_path, capsys):
     assert json.loads((ana / "report.json").read_text())["lambda"] == 0.3
     for name in ("report.json", "trace.csv"):
         assert (ana / name).read_bytes() == (exp / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("grid", [
+    {"x_right": float(np.nextafter(40.0, math.inf))}, {"n": 301},
+], ids=["edge-one-ulp-out", "one-node-more"])
+def test_analyze_refuses_a_trajectory_of_another_grid(tmp_path, capsys,
+                                                      grid):
+    cfg = tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "sim")]) == 0
+    doc = json.loads(cfg.read_text())
+    doc["grid"].update(grid)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    out = tmp_path / "ana"
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(other), "--traj",
+                 str(tmp_path / "sim" / "trajectory.csv"),
+                 "--out", str(out)]) == 2
+    assert "not the config's grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 TRAJECTORY_HEADER = ("# frontlab trajectory: binary64 big-endian hex cells; "

@@ -105,8 +105,9 @@ def test_gamma_effective_values_and_domain():
     assert gamma_effective(0.5, 3.0) == 3.0
     assert gamma_effective(0.5, 10.0) == 4.0
     assert gamma_effective(0.5, float("inf")) == 4.0
+    assert gamma_effective(1.5, 3.0) == 3.0
     with pytest.raises(DomainError):
-        gamma_effective(1.5, 3.0)
+        gamma_effective(0.0, 3.0)
 
 
 # --- the array classifier against the scalar ladder ------------------------
@@ -316,8 +317,9 @@ def test_polynomial_envelope_values():
 
 def test_lower_only_upper_exponent():
     env = envelopes(make_params(0.5, 3.0, 1.2), epsilon=0.1)
-    assert env.upper_desc["exponent"] == pytest.approx(
-        (1.2 - 0.5 + 0.1) / (2.0 * 0.2))
+    # the upper envelope is a monomial (B t)^q: q is its log-log slope
+    q = math.log(env.upper(8.0) / env.upper(2.0)) / math.log(4.0)
+    assert q == pytest.approx((1.2 - 0.5 + 0.1) / (2.0 * 0.2), rel=1e-12)
 
 
 def test_infinite_speed_has_only_linear_floor():
@@ -326,7 +328,6 @@ def test_infinite_speed_has_only_linear_floor():
     c0 = find_compact_support_speed(g_fn(0.5, default_reaction(p)), 0.5).c0
     assert env.upper is None
     assert env.lower(4.0) == pytest.approx(4.0 * c0)
-    assert env.lower_desc["kind"] == "linear"
 
 
 def test_envelopes_reject_no_acceleration():

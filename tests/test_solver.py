@@ -217,7 +217,8 @@ def test_solver_config_rejects_bad_dt_and_t_end(bad):
 
 @pytest.mark.parametrize("snaps", [
     (0.5, float("nan")), (float("inf"),), (0.5, "later"), (None,), None,
-], ids=["nan", "inf", "word", "null-entry", "null"])
+    (True, 2.0),
+], ids=["nan", "inf", "word", "null-entry", "null", "bool"])
 def test_solver_config_rejects_bad_snapshot_times(snaps):
     with pytest.raises(DomainError, match="snapshot times"):
         SolverConfig(snapshots=snaps)
