@@ -678,7 +678,14 @@ def edge_clamp(params: ModelParams, kind,
     if kind.regime not in UPPER_REGIMES:
         return None
     eps = 0.1 * params.r
-    v0 = min(params.C_bar / x_right ** _tail_exponent(params, kind, eps), 0.5)
+    a = _tail_exponent(params, kind, eps)
+    try:
+        v0 = min(params.C_bar / x_right ** a, 0.5)
+    except (OverflowError, ZeroDivisionError):
+        # x_right^a past the float range either way: no edge value to hold
+        raise DomainError(f"the edge value C_bar/x_right^a is out of float "
+                          f"range at x_right {x_right:.6g} with tail "
+                          f"exponent a {a:.6g}") from None
     rho = params.r_bar + 0.5 * eps
     beta = params.beta
 

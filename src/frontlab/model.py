@@ -89,12 +89,17 @@ def default_reaction(params: ModelParams) -> Callable:
     return f
 
 
-def reaction_eval(params: ModelParams, s):
-    """Evaluate r*s^beta*(1-s) on densities s in [0, 1]."""
-    arr = np.asarray(s, dtype=float)
+def require_density(arr: np.ndarray) -> None:
+    """DomainError unless every entry of the float array lies in [0, 1]."""
     # NaN fails both comparisons, so it is rejected too
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("density outside [0,1]")
+
+
+def reaction_eval(params: ModelParams, s):
+    """Evaluate r*s^beta*(1-s) on densities s in [0, 1]."""
+    arr = np.asarray(s, dtype=float)
+    require_density(arr)
     out = default_reaction(params)(arr)
     return float(out) if arr.ndim == 0 else out
 

@@ -6,15 +6,25 @@ left boundary, and a Dirichlet right boundary: held at zero or at the
 growth supersolution's edge value (``closedform.edge_clamp``), so the
 heavy tail is not truncated.
 
-Every stencil reads the grid's dt-independent factors (``Grid.stencil``,
-built once per grid on first use), and the system's dt-only parts are
-built once per grid and dt (``Grid.dt_system``). A step computes u^m, the
-reaction, the diffusivity and the rest of its system in place, and solves
-the symmetric form of the system with one LAPACK ``dptsv`` call (L D L^T,
-no pivoting), which needs a positive finite diffusivity m*u^(m-1) on every
-node: a zero one (m > 1) or an infinite one (m < 1), both from u_min = 0
-and a zero node, raises StabilityFailure, as do a non-finite entry in the
-system, a failed solve and a non-finite solution.
+``simulate`` prepares one stepper per snapshot interval, which takes once
+what stays the same over the interval's steps: the grid's dt-independent
+stencil factors (``Grid.stencil``), the system's dt-only parts
+(``Grid.dt_system``), the diffusivity floor, the reaction
+(``model.default_reaction``), the right-edge rule and clamp, and work
+buffers for the flux, the rate, the diffusivity and the system. Each step
+computes u^m, the reaction, the diffusivity m*max(u, floor)^(m-1) and the
+rest of its system into those buffers, and solves the symmetric form of
+the system with one LAPACK ``dptsv`` call (L D L^T, no pivoting). Bare
+arrays pass from step to step; a Field is built at each snapshot. ``step``
+and ``solve_banded`` are one-shot uses of the same stepper.
+
+An interval's steps run under one np.errstate that silences overflow and
+division by zero, so each step refuses every non-finite value by an
+explicit check: a density outside [0, 1] (the reaction's guard) raises
+DomainError; a diffusivity that is not positive and finite on every node
+(u_min = 0 and a zero node make it zero for m > 1, infinite for m < 1), a
+non-finite entry in the system, a failed solve and a non-finite solution
+raise StabilityFailure.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from scipy.linalg.lapack import dptsv
 
 from .closedform import edge_clamp
 from .errors import DomainError, DomainExhausted, StabilityFailure
-from .model import (Field, Grid, ModelParams, field_build, reaction_eval,
-                    rightmost_crossing)
+from .model import (Field, Grid, ModelParams, default_reaction, field_build,
+                    reaction_eval, require_density, rightmost_crossing)
 from .regimes import UPPER_REGIMES, classify, envelopes
 
 __all__ = ["SolverConfig", "SolutionTrajectory", "ResidualReport", "step",
@@ -106,11 +116,12 @@ class ResidualReport:
     n: int
 
 
-def _flux_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
-    # K v: the difference of the fluxes diff(v)/h, zero beyond either end
-    flux = np.subtract(v[1:], v[:-1])
-    flux *= grid.stencil.inv_h
-    out = np.empty_like(v)
+def _flux_diff(inv_h: np.ndarray, v: np.ndarray, flux: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    # K v into out: the difference of the fluxes diff(v)/h (kept in flux),
+    # zero beyond either end
+    np.subtract(v[1:], v[:-1], out=flux)
+    flux *= inv_h
     out[0] = flux[0]
     np.subtract(flux[1:], flux[:-1], out=out[1:-1])
     out[-1] = -flux[-1]
@@ -119,9 +130,54 @@ def _flux_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 def _second_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
     # w (K v), with zero-flux ghost rows at both ends
-    out = _flux_diff(grid, v)
+    out = _flux_diff(grid.stencil.inv_h, v, np.empty(v.size - 1),
+                     np.empty_like(v))
     out *= grid.stencil.w
     return out
+
+
+def _solver(grid: Grid, dt: float) -> Callable:
+    """solve(a, rate_w, out) for one grid and dt; see ``solve_banded``.
+
+    The kept dt-only system parts and the system's buffer are taken once.
+    A solve must run under np.errstate(over="ignore", divide="ignore"): a
+    subnormal w*a or a tiny a overflows, and the scans make that typed.
+    """
+    # the dt-only parts are built, checked and kept once per (grid, dt)
+    diag_dt, e = grid.dt_system(dt)
+    k = diag_dt.size
+    w_k = grid.stencil.w[:k]
+    # d and rhs are views of one buffer, so one scan guards them both
+    system = np.empty(2 * k)
+    d, rhs = system[:k], system[k:]
+
+    def solve(a, rate_w, out):
+        # checked on every node: the dropped Dirichlet node would hide an
+        # infinite diffusivity from the system guard below
+        if not (0.0 < a.min() and a.max() < math.inf):
+            raise StabilityFailure(
+                "diffusivity m*u^(m-1) is zero, infinite or NaN; a zero node "
+                "needs u_min > 0 unless m = 1")
+        a_k = a[:k]
+        np.multiply(w_k, a_k, out=d)
+        np.divide(1.0, d, out=d)
+        np.add(d, diag_dt, out=d)
+        np.multiply(rate_w[:k], dt, out=rhs)
+        if not np.isfinite(system).all():
+            raise StabilityFailure(
+                "semi-implicit system has non-finite entries")
+        # overwrite_e=0: LAPACK factors a copy and the kept e stays as it is
+        _, _, y, info = dptsv(d, e, rhs, 1, 0, 1)
+        if info != 0:
+            raise StabilityFailure(
+                f"tridiagonal solve failed (LAPACK dptsv info={info})")
+        np.divide(y, a_k, out=out[:k])
+        out[k] = 0.0
+        if not np.isfinite(out).all():
+            raise StabilityFailure(
+                "tridiagonal solve returned non-finite values")
+        return out
+    return solve
 
 
 def solve_banded(grid: Grid, a: np.ndarray, dt: float,
@@ -134,38 +190,56 @@ def solve_banded(grid: Grid, a: np.ndarray, dt: float,
     0 < a < inf, diagonally dominant with a positive diagonal, so LAPACK
     dptsv factors it as L D L^T without pivoting.
     """
-    # checked on every node: the dropped Dirichlet node would hide an
-    # infinite diffusivity from the system guard below
-    if not (0.0 < a.min() and a.max() < math.inf):
-        raise StabilityFailure(
-            "diffusivity m*u^(m-1) is zero, infinite or NaN; a zero node "
-            "needs u_min > 0 unless m = 1")
-    # the dt-only parts are built, checked and kept once per (grid, dt)
-    diag_dt, e = grid.dt_system(dt)
-    k = diag_dt.size
-    # d and rhs are views of one buffer, so one scan guards them both
-    buf = np.empty(2 * k)
-    d, rhs = buf[:k], buf[k:]
-    np.multiply(grid.stencil.w[:k], a[:k], out=d)
-    # a subnormal w*a or a tiny a overflows: the scans make that typed
     with np.errstate(over="ignore", divide="ignore"):
-        np.divide(1.0, d, out=d)
-    d += diag_dt
-    np.multiply(rate_w[:k], dt, out=rhs)
-    if not np.isfinite(buf).all():
-        raise StabilityFailure("semi-implicit system has non-finite entries")
-    # overwrite_e=0: LAPACK factors a copy and the kept e stays as it is
-    _, _, y, info = dptsv(d, e, rhs, 1, 0, 1)
-    if info != 0:
-        raise StabilityFailure(
-            f"tridiagonal solve failed (LAPACK dptsv info={info})")
-    delta = np.empty(k + 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        np.divide(y, a[:k], out=delta[:k])
-    delta[k] = 0.0
-    if not np.isfinite(delta).all():
-        raise StabilityFailure("tridiagonal solve returned non-finite values")
-    return delta
+        return _solver(grid, dt)(a, rate_w, np.empty(a.size))
+
+
+def _stepper(grid: Grid, dt: float, config: SolverConfig,
+             params: ModelParams, clamp: Optional[Callable]) -> Callable:
+    """advance(u, t_new, out): one step from the values u, written to out,
+    a buffer that is not u; see ``step``.
+
+    What stays the same from one step to the next is taken once: the
+    stencil, the solve for (grid, dt), the diffusivity floor, the reaction,
+    the right-edge rule and the work buffers. A step must run under
+    np.errstate(over="ignore", divide="ignore"), like the solve.
+    """
+    if not dt > 0.0:
+        raise DomainError("dt must be positive")
+    solve = _solver(grid, dt)
+    inv_h, w = grid.stencil.inv_h, grid.stencil.w
+    n = grid.x.size
+    flux, rate, diffusivity = np.empty(n - 1), np.empty(n), np.empty(n)
+    m = params.m
+    # a = m max(u, floor)^(m-1), floor u_min; for m < 1 at most 1e-300, so a
+    # (<= 1e300) follows the true diffusivity down the tail the rate sees. A
+    # zero or infinite a (u_min = 0, a zero node) is left to the solve
+    floor = config.u_min if m >= 1.0 else min(config.u_min, 1e-300)
+    reaction = default_reaction(params) if config.reaction_on else None
+    zero_edge = config.right == "zero-value"
+
+    def advance(u, t_new, out):
+        # rate / w = K u^m + f / w, so K u^m is never scaled by w and back
+        rate_w = _flux_diff(inv_h, u ** m, flux, rate)
+        if reaction is not None:
+            require_density(u)
+            f_w = reaction(u)
+            f_w /= w
+            rate_w += f_w
+        a = np.maximum(u, floor, out=diffusivity)
+        a **= m - 1.0
+        a *= m
+        # u + delta, added into the delta that the solve writes
+        new = solve(a, rate_w, out)
+        new += u
+        # np.clip's own method, without its dispatch; it keeps a -0.0
+        new.clip(0.0, 1.0, out=new)
+        if zero_edge:
+            new[-1] = 0.0
+        elif clamp is not None:
+            new[-1] = min(1.0, max(0.0, float(clamp(t_new))))
+        return new
+    return advance
 
 
 def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
@@ -176,33 +250,10 @@ def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
     under analytic-clamp it is ``clamp(t)`` (a t -> value map, cut to
     [0, 1]) at the new time, or its old value (its delta is 0) without one.
     """
-    if not dt > 0.0:
-        raise DomainError("dt must be positive")
-    u = field.values
-    m = params.m
-    # rate / w = K u^m + f / w, so K u^m is never scaled by w and back
-    rate_w = _flux_diff(grid, u ** m)
-    if config.reaction_on:
-        f_w = reaction_eval(params, u)
-        f_w /= grid.stencil.w
-        rate_w += f_w
-    # a = m max(u, floor)^(m-1), floor u_min; for m < 1 at most 1e-300, so a
-    # (<= 1e300) follows the true diffusivity down the tail the rate sees. A
-    # zero or infinite a (u_min = 0, a zero node) is left to solve_banded
-    floor = config.u_min if m >= 1.0 else min(config.u_min, 1e-300)
-    a = np.maximum(u, floor)
-    with np.errstate(divide="ignore", over="ignore"):
-        a **= m - 1.0
-        a *= m
-    # u + delta, added into the delta that solve_banded returns
-    new = solve_banded(grid, a, dt, rate_w)
-    new += u
-    np.clip(new, 0.0, 1.0, out=new)
+    advance = _stepper(grid, dt, config, params, clamp)
     t_new = field.t + dt
-    if config.right == "zero-value":
-        new[-1] = 0.0
-    elif clamp is not None:
-        new[-1] = min(1.0, max(0.0, float(clamp(t_new))))
+    with np.errstate(over="ignore", divide="ignore"):
+        new = advance(field.values, t_new, np.empty(grid.x.size))
     new.setflags(write=False)
     return Field(values=new, t=float(t_new))
 
@@ -245,17 +296,23 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     dts = []
     max_resid = 0.0
     m = params.m
+    # steps write to these two in turn, so none overwrites its own input
+    outs = (np.empty(grid.x.size), np.empty(grid.x.size))
 
     for target in schedule:
         gap = target - times[-1]
         # the gap is over 1e-12, so this is at least one step
         n_steps = math.ceil(gap / config.dt * (1.0 - 1e-12))
         dt = gap / n_steps
-        for _ in range(n_steps):
-            prev_vals = fld.values
-            fld = step(fld, dt, grid, config, params, clamp)
+        advance = _stepper(grid, dt, config, params, clamp)
+        u, t = fld.values, fld.t
+        with np.errstate(over="ignore", divide="ignore"):
+            for i in range(n_steps):
+                prev_vals = u
+                t = t + dt
+                u = advance(prev_vals, t, outs[i & 1])
         dts += [dt] * n_steps
-        fld = field_build(fld.values, target)
+        fld = field_build(u, target)
         fields.append(fld)
         times.append(target)
         f_now = (reaction_eval(params, fld.values)

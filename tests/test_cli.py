@@ -176,6 +176,21 @@ def test_infinite_diffusivity_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_an_edge_value_out_of_float_range_exits_2(tmp_path, capsys):
+    # m = 0.999999 with a light tail: the clamp's tail exponent is
+    # 2/(1-m) = 2e6, and fde_kpp's x_right of 1.6e8 to that power overflows
+    doc = json.loads((resources.files("frontlab") / "configs"
+                      / "fde_kpp.json").read_text())
+    doc.update(m=0.999999, alpha="inf")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("frontlab: ") and "tail exponent a 2e+06" in err
+    assert "Traceback" not in err
+
+
 def test_infeasible_selection_exits_4(tmp_path):
     # epsilon lies in (0, 1) but not below r, which growth-super needs
     assert main(["construct", "--kind", "growth-super", "--m", "0.5",

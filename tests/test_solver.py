@@ -5,14 +5,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dptsv
 
 from frontlab import solver as solver_module
 from frontlab.analysis import track_level
 from frontlab.cli import _run_config
-from frontlab.closedform import pme_bump_params
+from frontlab.closedform import edge_clamp, pme_bump_params
 from frontlab.errors import (
     DomainError,
     DomainExhausted,
@@ -28,6 +28,7 @@ from frontlab.model import (
     initial_data_build,
     reaction_eval,
 )
+from frontlab.regimes import classify
 from frontlab.solver import (
     SolverConfig,
     _second_diff,
@@ -641,14 +642,78 @@ def test_step_matches_the_reference_step_bit_for_bit(grid, right, m, beta,
         assert fld.t == t_want
 
 
-@pytest.mark.parametrize("m, u", [(2.0, 2.2e-311), (3.0, 1e-160)])
-def test_a_subnormal_diffusivity_is_a_typed_failure(m, u):
+@settings(max_examples=100, deadline=None)
+@given(grid=small_grids(), right=st.sampled_from(RIGHTS),
+       m=st.sampled_from((0.5, 1.0, 2.0)), beta=st.sampled_from((1.0, 1.25)),
+       u_min=st.sampled_from((0.0, 1e-12)), data=st.data())
+def test_simulate_is_step_applied_over_and_over(grid, right, m, beta, u_min,
+                                                data):
+    # two snapshot intervals at dt = 0.01: 4 steps of 0.01, then 3 of
+    # 0.025/3. alpha = 2 puts every (m, beta) drawn in a regime with an
+    # upper envelope, so analytic-clamp holds edge_clamp's value
+    p = make_params(m, 2.0, beta)
+    cfg = SolverConfig(dt=0.01, t_end=0.065, snapshots=(0.04, 0.065),
+                       right=right, u_min=u_min)
+    # at most 0.4, so in so short a run the 0.5-level nears the right edge
+    # only where the edge itself is held at 0.5 or more
+    vals = 0.4 * data.draw(edge_values(grid.x.size))
+    schedule = ((0.04, [0.01] * 4), (0.065, [(0.065 - 0.04) / 3] * 3))
+
+    def edge():
+        # taken once simulate has passed its grid check, as simulate does
+        return (edge_clamp(p, classify(m, 2.0, beta), float(grid.x[-1]))
+                if right == "analytic-clamp" else None)
+
+    def repeated_steps():
+        clamp = edge()
+        fld = field_build(vals, 0.0)
+        for target, dts in schedule:
+            for dt in dts:
+                fld = step(fld, dt, grid, cfg, p, clamp)
+            yield field_build(fld.values, target)
+
+    try:
+        traj = simulate(lambda x: vals, grid, cfg, p)
+    except DomainError as exc:
+        # the grid ends short of 1.25x the upper envelope's front
+        assert "below 1.25x" in str(exc)
+        assume(False)
+    except DomainExhausted:
+        # a grid that ends near x = 1 or before holds the clamp at 0.5
+        assert edge() is not None and edge()(0.065) >= 0.5
+        assume(False)
+    except StabilityFailure:
+        # a zero node with u_min = 0 and m != 1: the steps fail the same way
+        with pytest.raises(StabilityFailure):
+            list(repeated_steps())
+        return
+    assert traj.dt_history.tolist() == [dt for _, dts in schedule
+                                        for dt in dts]
+    for got, want in zip(traj.fields[1:], repeated_steps(), strict=True):
+        assert same_bits(got.values, want.values)
+        assert got.t == want.t
+
+
+@pytest.mark.parametrize("m, u, run", [
+    (2.0, 2.2e-311, "step"), (3.0, 1e-160, "step"),
+    (2.0, 2.2e-311, "simulate"), (3.0, 1e-160, "simulate"),
+], ids=["2.0-2.2e-311", "3.0-1e-160", "2.0-2.2e-311-simulate",
+        "3.0-1e-160-simulate"])
+def test_a_subnormal_diffusivity_is_a_typed_failure(m, u, run):
     # m u^(m-1) is subnormal, so 1/(w a) overflows: the step must raise its
     # own failure, not a numpy warning (which the test config makes an error)
+    # nor a silent inf, also under the errstate simulate holds over an
+    # interval's steps
     grid = Grid(x=np.array([0.0, 0.2386, 0.4846, 0.7383, 1.0]))
-    fld = Field(values=np.full(grid.x.size, u), t=0.0)
+    p = make_params(m, 2.0, 1.25)
     with pytest.raises(StabilityFailure, match="non-finite"):
-        step(fld, 1.0, grid, SolverConfig(u_min=0.0), make_params(m, 2.0, 1.25))
+        if run == "step":
+            fld = Field(values=np.full(grid.x.size, u), t=0.0)
+            step(fld, 1.0, grid, SolverConfig(u_min=0.0), p)
+        else:
+            cfg = SolverConfig(dt=1.0, t_end=1.0, snapshots=(1.0,),
+                               u_min=0.0)
+            simulate(lambda x: np.full(x.size, u), grid, cfg, p)
 
 
 def test_kept_dt_parts_neither_go_stale_nor_change():
