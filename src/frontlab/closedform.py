@@ -674,9 +674,13 @@ def edge_clamp(params: ModelParams, kind,
 
     w grows the bare tail value C_bar/x_right^a (cut at 0.5, not enlarged)
     at the rate r_bar + eps/2, eps = 0.1 r, so the edge value stays tight.
+    An x_right that is not positive and finite is a DomainError.
     """
     if kind.regime not in UPPER_REGIMES:
         return None
+    if not 0.0 < x_right < math.inf:
+        raise DomainError(f"x_right must be positive and finite, got "
+                          f"{x_right:.6g}")
     eps = 0.1 * params.r
     a = _tail_exponent(params, kind, eps)
     try:

@@ -109,16 +109,15 @@ class InitialData:
     """Front-like datum: flat plateau on the left, decaying tail on the right.
 
     Exact tail C/x^alpha for x >= x0 (or C*exp(-2(x-x0)) when alpha = inf),
-    the stored plateau level for x <= x0-1, and a monotone cubic Hermite
-    join in between. ``plateau`` is the effective level min(requested,
-    tail(x0)), so the profile never rises above its own tail onset.
+    the stored plateau level for x <= x0-1, and a zero-slope cubic join
+    between. ``plateau`` is the effective level min(requested, tail(x0)),
+    so the profile never rises above its own tail onset.
     """
 
     C: float
     alpha: float
     x0: float
     plateau: float
-    join_slope: float
 
     def tail_value(self, x):
         """The pure tail formula; meaningful for x >= x0 only."""
@@ -144,17 +143,15 @@ class InitialData:
         return float(out[0]) if arr.ndim == 0 else out
 
     def _join(self, x):
-        # Cubic Hermite on [x0-1, x0]: level plateau with zero slope on the
-        # left, tail value with the (monotonicity-clamped) slope on the right.
+        # Cubic Hermite on [x0-1, x0] from the plateau level to the tail
+        # value, zero slope at both ends: it never leaves [level, tail(x0)]
         t = x - (self.x0 - 1.0)
         p0 = self.plateau
         p1 = self.tail_value(self.x0)
-        d1 = self.join_slope
         t2 = t * t
         t3 = t2 * t
         return (p0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-                + p1 * (3.0 * t2 - 2.0 * t3)
-                + d1 * (t3 - t2))
+                + p1 * (3.0 * t2 - 2.0 * t3))
 
 
 def initial_data_build(C_or_Cbar: float, alpha: float, x0: float,
@@ -162,8 +159,9 @@ def initial_data_build(C_or_Cbar: float, alpha: float, x0: float,
     """Build the canonical exact-tail datum.
 
     For x >= x0 the value is exactly C/x^alpha; for x <= x0-1 it is
-    min(plateau, C/x0^alpha); the join is a monotone cubic (Fritsch-Carlson
-    slope limiting, which keeps the cubic monotone between its endpoints).
+    min(plateau, C/x0^alpha); the join between is the zero-slope cubic
+    from that level up to C/x0^alpha. An x0^alpha past the float range is
+    a DomainError.
     """
     C = float(C_or_Cbar)
     alpha = float(alpha)
@@ -180,20 +178,15 @@ def initial_data_build(C_or_Cbar: float, alpha: float, x0: float,
 
     if math.isinf(alpha):
         onset = C
-        d_raw = -LIGHT_TAIL_RATE * C
     else:
-        onset = C / x0 ** alpha
-        d_raw = -alpha * C / x0 ** (alpha + 1.0)
+        try:
+            onset = C / x0 ** alpha
+        except OverflowError:
+            raise DomainError(f"x0^alpha is past the float range at alpha "
+                              f"{alpha:.6g} and x0 {x0:.6g}") from None
     if onset > 1.0 + FIELD_BAND:
         raise DomainError("tail value at x0 exceeds 1; shrink C or move x0")
-
-    level = min(plateau, onset)
-    secant = onset - level  # join width is exactly 1
-    if secant == 0.0 or d_raw * secant < 0.0:
-        d1 = 0.0
-    else:
-        d1 = math.copysign(min(abs(d_raw), 3.0 * abs(secant)), secant)
-    return InitialData(C=C, alpha=alpha, x0=x0, plateau=level, join_slope=d1)
+    return InitialData(C=C, alpha=alpha, x0=x0, plateau=min(plateau, onset))
 
 
 @dataclass(frozen=True)
@@ -246,24 +239,19 @@ class Grid:
 
     def dt_system(self, dt: float) -> tuple:
         """(dt*inv_sum, -dt/h) short of the Dirichlet right node: the dt-only
-        parts of a step's system, checked finite once and kept read-only
-        until a step asks for another dt."""
-        kept = self.__dict__.get("_dt_system")
-        if kept is None or kept[0] != dt:
-            st = self.stencil
-            # an overflow is reported below as a typed failure, not a warning
-            with np.errstate(over="ignore"):
-                diag = dt * st.inv_sum[:-1]
-                off = np.multiply(st.inv_h[:-1], -dt)
-            if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-                raise StabilityFailure(
-                    "semi-implicit system has non-finite entries")
-            diag.setflags(write=False)
-            off.setflags(write=False)
-            # the grid is frozen: like the stencil, the parts go straight
-            # into the instance dict
-            kept = self.__dict__["_dt_system"] = (dt, (diag, off))
-        return kept[1]
+        parts of a step's system, built and checked finite on each call and
+        returned read-only."""
+        st = self.stencil
+        # an overflow is reported below as a typed failure, not a warning
+        with np.errstate(over="ignore"):
+            diag = dt * st.inv_sum[:-1]
+            off = np.multiply(st.inv_h[:-1], -dt)
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise StabilityFailure(
+                "semi-implicit system has non-finite entries")
+        diag.setflags(write=False)
+        off.setflags(write=False)
+        return diag, off
 
 
 def grid_build(kind: str, x_left: float, x_right: float, n: int,

@@ -8,8 +8,8 @@ heavy tail is not truncated.
 
 ``simulate`` prepares one stepper per snapshot interval, which takes once
 what stays the same over the interval's steps: the grid's dt-independent
-stencil factors (``Grid.stencil``), the system's dt-only parts
-(``Grid.dt_system``), the diffusivity floor, the reaction
+stencil factors (``Grid.stencil``), the system's dt-only parts (built by
+``Grid.dt_system`` once per interval), the diffusivity floor, the reaction
 (``model.default_reaction``), the right-edge rule and clamp, and work
 buffers for the flux, the rate, the diffusivity and the system. Each step
 computes u^m, the reaction, the diffusivity m*max(u, floor)^(m-1) and the
@@ -139,11 +139,10 @@ def _second_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
 def _solver(grid: Grid, dt: float) -> Callable:
     """solve(a, rate_w, out) for one grid and dt; see ``solve_banded``.
 
-    The kept dt-only system parts and the system's buffer are taken once.
-    A solve must run under np.errstate(over="ignore", divide="ignore"): a
+    The dt-only system parts and the system's buffer are taken once. A
+    solve must run under np.errstate(over="ignore", divide="ignore"): a
     subnormal w*a or a tiny a overflows, and the scans make that typed.
     """
-    # the dt-only parts are built, checked and kept once per (grid, dt)
     diag_dt, e = grid.dt_system(dt)
     k = diag_dt.size
     w_k = grid.stencil.w[:k]
@@ -166,7 +165,7 @@ def _solver(grid: Grid, dt: float) -> Callable:
         if not np.isfinite(system).all():
             raise StabilityFailure(
                 "semi-implicit system has non-finite entries")
-        # overwrite_e=0: LAPACK factors a copy and the kept e stays as it is
+        # overwrite_e=0: LAPACK factors a copy and the interval's e stays as is
         _, _, y, info = dptsv(d, e, rhs, 1, 0, 1)
         if info != 0:
             raise StabilityFailure(

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import frontlab
+from frontlab import waves
 from frontlab.cli import (_atomic_write, main, read_trajectory_csv,
                           write_trajectory_csv)
 from frontlab.errors import DomainError
 from frontlab.model import (
     ModelParams,
+    default_reaction,
     field_build,
     grid_build,
     initial_data_build,
@@ -188,6 +190,21 @@ def test_an_edge_value_out_of_float_range_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("frontlab: ") and "tail exponent a 2e+06" in err
+    assert "Traceback" not in err
+
+
+def test_a_tail_onset_out_of_float_range_exits_2(tmp_path, capsys):
+    # 10^400 is past the float range, so the datum's onset C/x0^alpha is
+    # refused instead of raising a bare OverflowError
+    doc = json.loads((resources.files("frontlab") / "configs"
+                      / "noacc.json").read_text())
+    doc.update(alpha=400.0, x0=10.0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("frontlab: ") and "alpha 400 and x0 10" in err
     assert "Traceback" not in err
 
 
@@ -376,6 +393,22 @@ def test_shoot_accepts_an_unbounded_window(capsys):
     assert last_json(capsys)["outcome"] == "case-i"
 
 
+def test_a_truncated_shot_is_the_compact_support_certificate(capsys):
+    # c = 0.25 is where find_compact_support_speed's halving from 1 stops
+    # for m = 2, beta = 2.5, so --truncate must give its ignition shot
+    assert main(["shoot", "--c", "0.25", "--m", "2", "--beta", "2.5",
+                 "--truncate"]) == 0
+    doc = last_json(capsys)
+    params = ModelParams(m=2.0, alpha=math.inf, beta=2.5, r=1.0, r_bar=1.0,
+                         C=1.0, C_bar=1.0, s0=0.5, x0=2.0)
+    cert = waves.find_compact_support_speed(
+        waves.g_fn(2.0, default_reaction(params)), 0.5)
+    assert cert.c0 == 0.25
+    shot = cert.ignition
+    assert doc == {"outcome": "case-iii", "c": 0.25, "delta": 0.5,
+                   "y_c": shot.y_c, "terminal_slope": shot.terminal_slope}
+
+
 def test_construct_and_wave_write_files_only_with_out(tmp_path, capsys,
                                                       monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -467,6 +500,27 @@ def test_analyze_tracks_the_level_the_config_names(tmp_path, capsys):
     assert main(["analyze", "--config", str(cfg), "--traj",
                  str(exp / "trajectory.csv"), "--out", str(ana)]) == 0
     assert json.loads((ana / "report.json").read_text())["lambda"] == 0.3
+    for name in ("report.json", "trace.csv"):
+        assert (ana / name).read_bytes() == (exp / name).read_bytes(), name
+
+
+def test_analyze_repeats_experiment_in_the_infinite_speed_regime(tmp_path,
+                                                                 capsys):
+    # m 0.5, alpha 8, beta 1.4 has infinite speed without localization:
+    # analyze fits no rate there and reports only the envelope verdict
+    cfg = tiny_config(tmp_path, t_end=10.0, snapshots={"count": 20},
+                      right="analytic-clamp")
+    doc = json.loads(cfg.read_text())
+    doc.update(m=0.5, alpha=8.0, beta=1.4, C=1.0, C_bar=1.0, x0=1.05)
+    doc["grid"].update(x_left=-10.0, x_right=60.0, n=700)
+    cfg.write_text(json.dumps(doc))
+    exp, ana = tmp_path / "exp", tmp_path / "ana"
+    assert main(["experiment", "--config", str(cfg), "--out", str(exp)]) == 0
+    assert main(["analyze", "--config", str(cfg), "--traj",
+                 str(exp / "trajectory.csv"), "--out", str(ana)]) == 0
+    report = json.loads((ana / "report.json").read_text())
+    assert report["regime"] == "InfiniteSpeedUnlocalized"
+    assert report["fit"] is None and report["sandwich"] is not None
     for name in ("report.json", "trace.csv"):
         assert (ana / name).read_bytes() == (exp / name).read_bytes(), name
 

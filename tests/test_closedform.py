@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from frontlab import closedform as cf
-from frontlab.errors import BlowUp, RegimeMismatch
+from frontlab.errors import BlowUp, DomainError, RegimeMismatch
 from frontlab.model import ModelParams, initial_data_build
+from frontlab.regimes import classify
 
 
 def make_params(m, alpha, beta, **over):
@@ -146,6 +147,15 @@ def test_growth_super_nondecreasing_in_time():
         cur = spec.evaluate(t, x)
         assert np.all(cur >= prev - 1e-12)
         prev = cur
+
+
+@pytest.mark.parametrize("x_right", [-3.0, 0.0, math.inf, math.nan])
+def test_edge_clamp_refuses_an_edge_that_is_not_positive_and_finite(x_right):
+    # x_right^a with a = 2.5 is complex at -3; at inf the edge value is 0,
+    # which the clamp cannot grow, and at NaN it would read 1
+    params = make_params(2.0, 2.5, 1.25)
+    with pytest.raises(DomainError, match="x_right must be positive"):
+        cf.edge_clamp(params, classify(2.0, 2.5, 1.25), x_right)
 
 
 def test_right_tail_specs_certify_everywhere():

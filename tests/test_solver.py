@@ -276,6 +276,15 @@ def test_nan_update_is_a_stability_failure():
         step(Field(values=vals, t=0.0), cfg.dt, grid, cfg, p)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+def test_step_refuses_a_dt_that_is_not_positive(dt):
+    p = make_params(0.5, 8.0, 1.0)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    fld = field_build(initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x), 0.0)
+    with pytest.raises(DomainError, match="dt must be positive"):
+        step(fld, dt, grid, SolverConfig(), p)
+
+
 def test_semi_implicit_step_returns_a_read_only_field():
     p = make_params(0.5, 8.0, 1.0)
     grid = grid_build("uniform", -5.0, 20.0, 100)
@@ -310,6 +319,15 @@ def test_snapshot_times_are_honored():
     traj = simulate(u0, grid, cfg, p)
     assert traj.times == pytest.approx([0.0] + list(snaps))
     assert [f.t for f in traj.fields] == pytest.approx([0.0] + list(snaps))
+
+
+def test_an_empty_schedule_snapshots_ten_even_times():
+    p = make_params(2.0, 2.0, 1.25)
+    grid = grid_build("uniform", -5.0, 60.0, 200)
+    u0 = initial_data_build(1.0, 2.0, 2.0, 1.0)
+    traj = simulate(u0, grid, SolverConfig(dt=1e-2, t_end=1.0), p)
+    assert traj.times == (0.0,) + tuple(np.linspace(0.0, 1.0, 11)[1:])
+    assert traj.dt_history.size == 100
 
 
 def test_domain_too_small_for_envelope_is_rejected():
