@@ -5,7 +5,9 @@ experiment, sweep. Each takes only the flags it reads; any other flag exits
 2. --config, the JSON config document, is required by simulate, analyze and
 experiment and taken by no other command; all three parse it in one place,
 so analyze tracks experiment.level as experiment does. analyze refuses a
-trajectory whose grid nodes are not the config's grid, bit for bit.
+trajectory whose grid nodes are not the config's grid, bit for bit, or
+whose header names another run: simulate and experiment end the header with
+the sha256 of the config without its "experiment" section.
 --json, compact single-line JSON on stdout, is taken only by construct,
 analyze and experiment, which pretty-print without it. classify and shoot
 write no files. The other commands write JSON documents and CSV tables
@@ -34,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import re
 import secrets
 import sys
 import time
@@ -62,6 +65,11 @@ def _canonical(doc: dict) -> str:
 
 def _sha256(doc: dict) -> str:
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+
+
+def _run_sha256(doc: dict) -> str:
+    # the run a trajectory holds: every section but the analysis settings
+    return _sha256({k: v for k, v in doc.items() if k != "experiment"})
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -151,19 +159,26 @@ def _add_io_flags(sp, out: Optional[Path], config: bool = False,
 # trajectory CSV round-trip (shared by simulate / analyze / experiment)
 
 # The reader checks this line exactly, so a file in any other format (the
-# older decimal table among them) is refused before its rows are read.
+# older decimal table among them) is refused before its rows are read. A
+# trajectory of a configured run ends it with _RUN_TAG and the run's sha256.
 _TRAJECTORY_HEADER = ("# frontlab trajectory: binary64 big-endian hex cells; "
                       "grid row nan x_0..x_n; "
                       "then one row t u(x_0)..u(x_n) per snapshot")
+_RUN_TAG = "; run sha256 "
 
 # hex digit byte -> its value; every other byte (uppercase included) -> 16
 _NIBBLE = np.full(256, 16, dtype=np.uint8)
 _NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
-def write_trajectory_csv(path: Path, traj: SolutionTrajectory) -> None:
+def write_trajectory_csv(path: Path, traj: SolutionTrajectory,
+                         run_sha256: Optional[str] = None) -> None:
     """Write the header, the grid row, then one `t,u(x)...` row per snapshot;
-    each cell is the 16 hex digits of a number's big-endian binary64 bits."""
+    each cell is the 16 hex digits of a number's big-endian binary64 bits.
+    The header ends with the run's digest when one is given."""
+    header = _TRAJECTORY_HEADER
+    if run_sha256 is not None:
+        header += _RUN_TAG + run_sha256
     row = np.empty(traj.grid.x.size + 1, dtype=">f8")
 
     def encode(head, values):
@@ -172,7 +187,7 @@ def write_trajectory_csv(path: Path, traj: SolutionTrajectory) -> None:
         return memoryview(row).hex(",", 8) + "\n"
 
     def lines():
-        yield _TRAJECTORY_HEADER + "\n"
+        yield header + "\n"
         yield encode(math.nan, traj.grid.x)
         for t, fld in zip(traj.times, traj.fields):
             yield encode(t, fld.values)
@@ -193,12 +208,21 @@ def _decode_row(line: bytes, seps: bytes) -> np.ndarray:
     return octets.view(">f8").ravel().astype(float)
 
 
+def _read_run(fh) -> Optional[str]:
+    """The run digest the header line of an open trajectory file names, or
+    None for a header without one; any other line is a DomainError."""
+    header = fh.readline().rstrip(b"\n").decode("utf-8", "replace")
+    head, tag, run = header.partition(_RUN_TAG)
+    if (head != _TRAJECTORY_HEADER
+            or (tag and not re.fullmatch("[0-9a-f]{64}", run))):
+        raise DomainError(f"unexpected trajectory header {header!r}")
+    return run or None
+
+
 def read_trajectory_csv(path: Path) -> SolutionTrajectory:
     """Rebuild a trajectory written by `write_trajectory_csv`, row by row."""
     with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\n").decode("utf-8", "replace")
-        if header != _TRAJECTORY_HEADER:
-            raise DomainError(f"unexpected trajectory header {header!r}")
+        _read_run(fh)
         grid_row = fh.readline()
         if not grid_row:
             raise DomainError("trajectory file holds no grid row")
@@ -227,8 +251,8 @@ def _run_config(doc: dict):
     experiment, so they accept and refuse the same documents."""
     bundle = bundle_from_dict(doc)
     sdoc = config_section(doc, "solver")
-    config_keys(sdoc, ("dt", "t_end", "snapshots", "scheme", "right",
-                       "u_min"), "solver")
+    config_keys(sdoc, ("dt", "t_end", "snapshots", "scheme", "right"),
+                "solver")
     t_end = config_number(sdoc, "t_end", where="solver")
     snaps = sdoc.get("snapshots", ())
     if isinstance(snaps, dict):
@@ -248,7 +272,6 @@ def _run_config(doc: dict):
         t_end=t_end,
         snapshots=snaps,
         right=sdoc.get("right", "analytic-clamp"),
-        u_min=config_number(sdoc, "u_min", 1e-12, where="solver"),
     )
     exp = config_section(doc, "experiment") if "experiment" in doc else {}
     config_keys(exp, ("level", "epsilon"), "experiment")
@@ -360,7 +383,7 @@ def _cmd_simulate(args) -> int:
     bundle, cfg, _, _ = _run_config(doc)
     traj = simulate(bundle.data, bundle.grid, cfg, bundle.params)
     path = Path(args.out) / "trajectory.csv"
-    write_trajectory_csv(path, traj)
+    write_trajectory_csv(path, traj, _run_sha256(doc))
     _emit_manifest(args, doc, [path], t0)
     print(_dump_json({"snapshots": len(traj.times),
                       "nodes": int(traj.grid.x.size),
@@ -427,6 +450,14 @@ def _cmd_analyze(args) -> int:
             f"trajectory grid ({x.size} nodes on [{x[0]:g}, {x[-1]:g}]) is "
             f"not the config's grid ({x_cfg.size} nodes on "
             f"[{x_cfg[0]:g}, {x_cfg[-1]:g}])")
+    # the same grid under other parameters or settings is another run
+    with open(args.traj, "rb") as fh:
+        run = _read_run(fh)
+    want = _run_sha256(doc)
+    if run != want:
+        raise DomainError(f"trajectory was run under config sha256 "
+                          f"{run or '(none recorded)'}, not this config's "
+                          f"{want}")
     outputs = _analyze_traj(traj, bundle.params, level, eps, Path(args.out),
                             args.as_json)
     _emit_manifest(args, doc, outputs, t0)
@@ -440,7 +471,7 @@ def _cmd_experiment(args) -> int:
     traj = simulate(bundle.data, bundle.grid, cfg, bundle.params)
     out_dir = Path(args.out)
     traj_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(traj_path, traj)
+    write_trajectory_csv(traj_path, traj, _run_sha256(doc))
     outputs = [traj_path]
     outputs.extend(_analyze_traj(traj, bundle.params, level, eps, out_dir,
                                  args.as_json))

@@ -125,7 +125,9 @@ class InitialData:
         if math.isinf(self.alpha):
             out = self.C * np.exp(-LIGHT_TAIL_RATE * (arr - self.x0))
         else:
-            out = self.C / arr ** self.alpha
+            # an x^alpha past the float range is inf, and C/inf = 0 is right
+            with np.errstate(over="ignore"):
+                out = self.C / arr ** self.alpha
         return float(out) if arr.ndim == 0 else out
 
     def __call__(self, x):

@@ -16,15 +16,20 @@ computes u^m, the reaction, the diffusivity m*max(u, floor)^(m-1) and the
 rest of its system into those buffers, and solves the symmetric form of
 the system with one LAPACK ``dptsv`` call (L D L^T, no pivoting). Bare
 arrays pass from step to step; a Field is built at each snapshot. ``step``
-and ``solve_banded`` are one-shot uses of the same stepper.
+is a one-shot use of the same stepper.
 
-An interval's steps run under one np.errstate that silences overflow and
-division by zero, so each step refuses every non-finite value by an
-explicit check: a density outside [0, 1] (the reaction's guard) raises
-DomainError; a diffusivity that is not positive and finite on every node
-(u_min = 0 and a zero node make it zero for m > 1, infinite for m < 1), a
-non-finite entry in the system, a failed solve and a non-finite solution
-raise StabilityFailure.
+The floor is 1e-12 for m >= 1 and 1e-300 for m < 1, where the diffusivity
+(at most 1e300) follows the true one down the tail the rate sees. At a zero
+node it is finite, and positive unless m is past about 28 (underflow).
+
+Densities are checked where they enter: ``field_build`` checks the datum
+``simulate`` starts from, and ``step`` its caller's Field when the reaction
+is on (DomainError). Each step clips its solution and edge to [0, 1]. The
+steps run under one np.errstate that silences overflow, division by zero
+and invalid operations, so each step refuses every non-finite value by an
+explicit check: a diffusivity that is not positive and finite on every node
+(a NaN node among them), a non-finite entry in the system, a failed solve
+and a non-finite solution raise StabilityFailure.
 """
 
 from __future__ import annotations
@@ -48,24 +53,26 @@ __all__ = ["SolverConfig", "SolutionTrajectory", "ResidualReport", "step",
 _RIGHT = ("analytic-clamp", "zero-value")
 # times no more than this apart are one time to the schedule
 _TIME_TOL = 1e-12
+# the diffusivity floors for m >= 1 and m < 1; see the module docstring
+_FLOOR, _FAST_FLOOR = 1e-12, 1e-300
+# every step runs under this; its explicit checks refuse what it silences
+_QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed step, schedule, and boundary policy for one run."""
+    """Fixed step, schedule, and boundary policy for one run; the
+    diffusivity floor is fixed by m (see the module docstring)."""
 
     dt: float = 1e-3
     t_end: float = 1.0
     snapshots: tuple = ()
     right: str = "analytic-clamp"
-    u_min: float = 1e-12
     reaction_on: bool = True
 
     def __post_init__(self):
         if self.right not in _RIGHT:
             raise DomainError(f"unknown right boundary policy {self.right!r}")
-        if not 0.0 <= self.u_min <= 1e-8:
-            raise DomainError("u_min must lie in [0, 1e-8]")
         if not 0.0 < self.dt < math.inf:
             raise DomainError("dt must be positive and finite")
         if not 0.0 < self.t_end < math.inf:
@@ -137,11 +144,17 @@ def _second_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 
 def _solver(grid: Grid, dt: float) -> Callable:
-    """solve(a, rate_w, out) for one grid and dt; see ``solve_banded``.
+    """solve(a, rate_w, out) for one grid and dt: out = delta, where
+    (I - dt W K diag(a)) delta = dt W rate_w and W = diag(w).
 
-    The dt-only system parts and the system's buffer are taken once. A
-    solve must run under np.errstate(over="ignore", divide="ignore"): a
-    subnormal w*a or a tiny a overflows, and the scans make that typed.
+    The right edge is Dirichlet: delta = 0 at the right node, whose row is
+    dropped. With y = a delta and each row divided by w the matrix becomes
+    diag(1/(w a)) + dt (diag(inv_sum) - offdiag(1/h)): symmetric and, for
+    0 < a < inf, diagonally dominant with a positive diagonal, so LAPACK
+    dptsv factors it as L D L^T without pivoting.
+
+    The dt-only parts and the buffer are taken once. Solves run under
+    np.errstate(**_QUIET); the scans turn an overflow into StabilityFailure.
     """
     diag_dt, e = grid.dt_system(dt)
     k = diag_dt.size
@@ -155,8 +168,7 @@ def _solver(grid: Grid, dt: float) -> Callable:
         # infinite diffusivity from the system guard below
         if not (0.0 < a.min() and a.max() < math.inf):
             raise StabilityFailure(
-                "diffusivity m*u^(m-1) is zero, infinite or NaN; a zero node "
-                "needs u_min > 0 unless m = 1")
+                "diffusivity m*max(u, floor)^(m-1) is zero, infinite or NaN")
         a_k = a[:k]
         np.multiply(w_k, a_k, out=d)
         np.divide(1.0, d, out=d)
@@ -179,20 +191,6 @@ def _solver(grid: Grid, dt: float) -> Callable:
     return solve
 
 
-def solve_banded(grid: Grid, a: np.ndarray, dt: float,
-                 rate_w: np.ndarray) -> np.ndarray:
-    """Solve (I - dt W K diag(a)) delta = dt W rate_w, W = diag(w), for delta.
-
-    The right edge is Dirichlet: delta = 0 at the right node, whose row is
-    dropped. With y = a delta and each row scaled by 1/w the matrix becomes
-    diag(1/(w a)) + dt (diag(inv_sum) - offdiag(1/h)): symmetric and, for
-    0 < a < inf, diagonally dominant with a positive diagonal, so LAPACK
-    dptsv factors it as L D L^T without pivoting.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        return _solver(grid, dt)(a, rate_w, np.empty(a.size))
-
-
 def _stepper(grid: Grid, dt: float, config: SolverConfig,
              params: ModelParams, clamp: Optional[Callable]) -> Callable:
     """advance(u, t_new, out): one step from the values u, written to out,
@@ -201,7 +199,7 @@ def _stepper(grid: Grid, dt: float, config: SolverConfig,
     What stays the same from one step to the next is taken once: the
     stencil, the solve for (grid, dt), the diffusivity floor, the reaction,
     the right-edge rule and the work buffers. A step must run under
-    np.errstate(over="ignore", divide="ignore"), like the solve.
+    np.errstate(**_QUIET), like the solve; its caller checks u in [0, 1].
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
@@ -210,10 +208,8 @@ def _stepper(grid: Grid, dt: float, config: SolverConfig,
     n = grid.x.size
     flux, rate, diffusivity = np.empty(n - 1), np.empty(n), np.empty(n)
     m = params.m
-    # a = m max(u, floor)^(m-1), floor u_min; for m < 1 at most 1e-300, so a
-    # (<= 1e300) follows the true diffusivity down the tail the rate sees. A
-    # zero or infinite a (u_min = 0, a zero node) is left to the solve
-    floor = config.u_min if m >= 1.0 else min(config.u_min, 1e-300)
+    # a = m max(u, floor)^(m-1); the solve refuses a zero a (m past ~28)
+    floor = _FLOOR if m >= 1.0 else _FAST_FLOOR
     reaction = default_reaction(params) if config.reaction_on else None
     zero_edge = config.right == "zero-value"
 
@@ -221,7 +217,6 @@ def _stepper(grid: Grid, dt: float, config: SolverConfig,
         # rate / w = K u^m + f / w, so K u^m is never scaled by w and back
         rate_w = _flux_diff(inv_h, u ** m, flux, rate)
         if reaction is not None:
-            require_density(u)
             f_w = reaction(u)
             f_w /= w
             rate_w += f_w
@@ -248,10 +243,13 @@ def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
     The right node is not solved for: it is 0 under the zero-value policy;
     under analytic-clamp it is ``clamp(t)`` (a t -> value map, cut to
     [0, 1]) at the new time, or its old value (its delta is 0) without one.
+    With the reaction on, a density outside [0, 1] is a DomainError.
     """
+    if config.reaction_on:
+        require_density(field.values)
     advance = _stepper(grid, dt, config, params, clamp)
     t_new = field.t + dt
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):
         new = advance(field.values, t_new, np.empty(grid.x.size))
     new.setflags(write=False)
     return Field(values=new, t=float(t_new))
@@ -305,7 +303,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
         dt = gap / n_steps
         advance = _stepper(grid, dt, config, params, clamp)
         u, t = fld.values, fld.t
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(**_QUIET):
             for i in range(n_steps):
                 prev_vals = u
                 t = t + dt

@@ -167,15 +167,19 @@ def test_numerical_failure_exits_3():
     assert main(["shoot", "--c", "10", "--m", "2", "--beta", "1.25"]) == 3
 
 
-def test_infinite_diffusivity_exits_3(tmp_path):
-    # m < 1 with u_min = 0: the diffusivity is infinite at the zero node
-    path = tiny_config(tmp_path, t_end=0.05, dt=0.01, u_min=0.0)
+def test_a_zero_node_under_fast_diffusion_exits_0(tmp_path):
+    # m < 1 at the zero right node: the diffusivity floor of 1e-300 keeps
+    # every step finite, and every snapshot in [0, 1]
+    path = tiny_config(tmp_path, t_end=0.05, dt=0.01)
     doc = json.loads(path.read_text())
     doc.update(m=0.5, alpha=8.0, beta=1.0, C=1.0, C_bar=1.0, x0=2.0)
     path.write_text(json.dumps(doc))
-    rc = main(["experiment", "--config", str(path),
+    rc = main(["simulate", "--config", str(path),
                "--out", str(tmp_path / "out")])
-    assert rc == 3
+    assert rc == 0
+    traj = read_trajectory_csv(tmp_path / "out" / "trajectory.csv")
+    assert all(np.all((f.values >= 0.0) & (f.values <= 1.0))
+               for f in traj.fields)
 
 
 def test_an_edge_value_out_of_float_range_exits_2(tmp_path, capsys):
@@ -208,6 +212,20 @@ def test_a_tail_onset_out_of_float_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_tail_past_the_float_range_beyond_the_onset_is_zero(tmp_path):
+    # 1.05^300 is in range, but x^300 overflows down the grid: the tail
+    # C/inf = 0 is right there, and no numpy warning (which the test config
+    # makes an error) may leak
+    doc = json.loads((resources.files("frontlab") / "configs"
+                      / "noacc.json").read_text())
+    doc.update(alpha=300.0, x0=1.05)
+    doc["solver"]["t_end"] = 1.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path)]) == 0
+
+
 def test_infeasible_selection_exits_4(tmp_path):
     # epsilon lies in (0, 1) but not below r, which growth-super needs
     assert main(["construct", "--kind", "growth-super", "--m", "0.5",
@@ -230,6 +248,7 @@ def test_infeasible_selection_exits_4(tmp_path):
     lambda d: d["solver"].update(snapshots={"count": 2.9}),
     lambda d: d["solver"].update(scheme="explicit"),
     lambda d: d["solver"].update(dt_control="cfl"),
+    lambda d: d["solver"].update(u_min=1e-12),
     lambda d: d["solver"].update(rigth="zero-flux"),
     lambda d: d["solver"].update(right="zero-flux"),
     lambda d: d["solver"]["snapshots"].update(last=1.0),
@@ -242,7 +261,7 @@ def test_infeasible_selection_exits_4(tmp_path):
 ], ids=["no-x-left", "nan-n", "no-dt", "word-m", "nan-snapshot",
         "word-count", "zero-count", "null-solver", "string-reaction-on",
         "word-level", "fractional-n", "fractional-count", "explicit-scheme",
-        "cfl-dt-control", "unknown-solver-key", "zero-flux-right",
+        "cfl-dt-control", "u-min", "unknown-solver-key", "zero-flux-right",
         "unknown-snapshots-key",
         "unknown-grid-key", "unknown-experiment-key",
         "unknown-top-level-key", "bool-r", "bool-t-end", "bool-snapshot"])
@@ -266,7 +285,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, spoil):
         if "unknown key" in err:  # the message names the misspelled key
             assert any(f"'{k}'" in err
                        for k in ("rigth", "last", "ration", "levle", "plateu",
-                                 "dt_control", "reaction_on"))
+                                 "dt_control", "reaction_on", "u_min"))
         if "policy" in err:  # and the right-edge policy it does not know
             assert "'zero-flux'" in err
         assert not out.exists(), argv[0]
@@ -543,6 +562,45 @@ def test_analyze_refuses_a_trajectory_of_another_grid(tmp_path, capsys,
                  str(tmp_path / "sim" / "trajectory.csv"),
                  "--out", str(out)]) == 2
     assert "not the config's grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def run_sha256(doc):
+    # the sha256 of the config's canonical JSON without its "experiment"
+    run = {k: v for k, v in doc.items() if k != "experiment"}
+    text = json.dumps(run, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_analyze_refuses_a_trajectory_of_another_run(tmp_path, capsys):
+    # noacc's trajectory on noacc's grid, read under other reaction rates:
+    # the grids agree to the bit, but the run digests in the header do not
+    doc = json.loads((resources.files("frontlab") / "configs"
+                      / "noacc.json").read_text())
+    doc["solver"]["t_end"] = 1.0
+    cfg = tmp_path / "noacc.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "sim")]) == 0
+    traj = tmp_path / "sim" / "trajectory.csv"
+    header = traj.read_text().split("\n", 1)[0]
+    assert header == TRAJECTORY_HEADER + "; run sha256 " + run_sha256(doc)
+    other_doc = dict(doc, r=0.5, r_bar=0.5)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(other_doc))
+    capsys.readouterr()
+    out = tmp_path / "ana"
+    assert main(["analyze", "--config", str(other), "--traj", str(traj),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert run_sha256(doc) in err and run_sha256(other_doc) in err
+    assert not out.exists()
+    # a trajectory with no run digest, the format before it, is refused too
+    old = tmp_path / "old.csv"
+    old.write_text(traj.read_text().replace(header, TRAJECTORY_HEADER, 1))
+    assert main(["analyze", "--config", str(cfg), "--traj", str(old),
+                 "--out", str(out)]) == 2
+    assert "none recorded" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -32,9 +32,9 @@ from frontlab.regimes import classify
 from frontlab.solver import (
     SolverConfig,
     _second_diff,
+    _solver,
     discrete_residual,
     simulate,
-    solve_banded,
     step,
 )
 
@@ -164,7 +164,8 @@ def test_semi_implicit_solve_matches_the_dense_system(right):
     A[-1, -1] = 1.0
     b[-1] = 0.0
     want = np.linalg.solve(A, b)
-    got = solve_banded(grid, a, dt, rate / grid.stencil.w)
+    with np.errstate(over="ignore", divide="ignore"):
+        got = _solver(grid, dt)(a, rate / grid.stencil.w, np.empty(n))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # a whole step at m = 2 without reaction: a = 2u, rate = L u^2
     u = 0.5 + 0.2 * np.sin(grid.x)
@@ -226,26 +227,56 @@ def test_solver_config_rejects_bad_snapshot_times(snaps):
 
 
 def test_infinite_diffusivity_is_a_stability_failure():
-    # u_min = 0 with m < 1 makes m*u^(m-1) infinite at the pinned zero node
+    # no density in [0, 1] gives an infinite diffusivity, but a caller's
+    # Field with the reaction off is not checked: 2*inf at the Dirichlet
+    # node, whose row the solve drops, must still be refused
+    p = make_params(2.0, 2.0, 1.25)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    vals = initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x)
+    vals[-1] = math.inf
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, reaction_on=False)
+    with pytest.raises(StabilityFailure):
+        step(Field(values=vals, t=0.0), cfg.dt, grid, cfg, p)
+
+
+def test_a_zero_node_gives_a_finite_fast_diffusion_step():
+    # m < 1 floors u at 1e-300, so m*max(u, 1e-300)^(m-1) stays finite at
+    # the pinned zero node
     p = make_params(0.5, 8.0, 1.0)
     grid = grid_build("uniform", -5.0, 20.0, 100)
     vals = initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x)
     vals[-1] = 0.0
-    cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value")
-    with pytest.raises(StabilityFailure):
-        step(field_build(vals, 0.0), cfg.dt, grid, cfg, p)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value")
+    out = step(field_build(vals, 0.0), cfg.dt, grid, cfg, p).values
+    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_zero_diffusivity_is_a_stability_failure():
-    # u_min = 0 with m > 1 makes m*u^(m-1) zero at a zero node, and the
+    # m = 30 underflows 30*max(u, 1e-12)^29 to zero at a zero node, and the
     # symmetric solve divides by it
-    p = make_params(2.0, 2.0, 1.25)
+    p = make_params(30.0, 2.0, 1.25)
     grid = grid_build("uniform", -5.0, 20.0, 100)
     vals = initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x)
     vals[-1] = 0.0
-    cfg = SolverConfig(dt=1e-2, t_end=1.0, u_min=0.0, right="zero-value")
-    with pytest.raises(StabilityFailure, match="u_min"):
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value")
+    with pytest.raises(StabilityFailure, match="diffusivity"):
         step(field_build(vals, 0.0), cfg.dt, grid, cfg, p)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan], ids=["negative", "nan"])
+def test_a_density_outside_the_unit_interval_is_refused_as_it_enters(bad):
+    # with the reaction on the Field is checked before any arithmetic; with
+    # it off the step's own checks refuse the NaN that u^0.5 makes of -0.5.
+    # Neither may leak a numpy warning, which the test config makes an error
+    p = make_params(0.5, 8.0, 1.0)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    vals = initial_data_build(1.0, 8.0, 2.0, 1.0)(grid.x)
+    vals[50] = bad
+    fld = Field(values=vals, t=0.0)
+    with pytest.raises(DomainError, match="outside"):
+        step(fld, 1e-2, grid, SolverConfig(), p)
+    with pytest.raises(StabilityFailure):
+        step(fld, 1e-2, grid, SolverConfig(reaction_on=False), p)
 
 
 def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
@@ -521,7 +552,8 @@ def test_solve_matches_the_dense_system_on_random_grids(grid, dt, data):
     A[-1, -1] = 1.0
     b[-1] = 0.0
     want = np.linalg.solve(A, b)
-    got = solve_banded(grid, a, dt, rate / grid.stencil.w)
+    with np.errstate(over="ignore", divide="ignore"):
+        got = _solver(grid, dt)(a, rate / grid.stencil.w, np.empty(n))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -558,8 +590,8 @@ def test_ordered_data_give_ordered_steps(grid, right, dt, data):
 
 def oracle_step(field, dt, grid, config, params, clamp=None):
     """The step as it read before its dt-only parts were kept on the grid
-    and its stages ran in place, with the m < 1 diffusivity floored at
-    min(u_min, 1e-300): the reference step must match bit for bit.
+    and its stages ran in place, with the diffusivity floored at 1e-12 for
+    m >= 1 and 1e-300 for m < 1: the reference step must match bit for bit.
 
     Returns the new values and time; raises what that step raised.
     """
@@ -583,7 +615,7 @@ def oracle_step(field, dt, grid, config, params, clamp=None):
         if not (u.min() >= 0.0 and u.max() <= 1.0):
             raise DomainError("density outside [0,1]")
         rate_w += params.r * u ** params.beta * (1.0 - u) / stencil.w
-    floor = config.u_min if m >= 1.0 else min(config.u_min, 1e-300)
+    floor = 1e-12 if m >= 1.0 else 1e-300
     with np.errstate(divide="ignore", over="ignore"):
         a = m * np.maximum(u, floor) ** (m - 1.0)
     if not (0.0 < a.min() and a.max() < math.inf):
@@ -634,18 +666,17 @@ def same_bits(a, b):
 @given(grid=small_grids(), right=st.sampled_from(RIGHTS),
        m=st.sampled_from((0.5, 1.0, 2.0, 3.0)),
        beta=st.sampled_from((1.0, 1.25, 2.5)),
-       r=st.sampled_from((0.3, 1.0, 2.7)),
-       u_min=st.sampled_from((0.0, 1e-12)), reaction_on=st.booleans(),
+       r=st.sampled_from((0.3, 1.0, 2.7)), reaction_on=st.booleans(),
        clamped=st.booleans(),
        dts=st.lists(st.floats(1e-4, 1.0), min_size=2, max_size=2),
        data=st.data())
 def test_step_matches_the_reference_step_bit_for_bit(grid, right, m, beta,
-                                                     r, u_min, reaction_on,
-                                                     clamped, dts, data):
+                                                     r, reaction_on, clamped,
+                                                     dts, data):
     # two dt values alternate on one grid, so a kept system part that went
     # stale would show
     p = make_params(m, 2.0, beta, r=r, r_bar=r)
-    cfg = SolverConfig(right=right, u_min=u_min, reaction_on=reaction_on)
+    cfg = SolverConfig(right=right, reaction_on=reaction_on)
     clamp = (lambda t: 0.25 + t) if clamped else None
     fld = Field(values=data.draw(edge_values(grid.x.size)), t=0.0)
     for dt in (dts[0], dts[1], dts[0], dts[1]):
@@ -663,15 +694,14 @@ def test_step_matches_the_reference_step_bit_for_bit(grid, right, m, beta,
 @settings(max_examples=100, deadline=None)
 @given(grid=small_grids(), right=st.sampled_from(RIGHTS),
        m=st.sampled_from((0.5, 1.0, 2.0)), beta=st.sampled_from((1.0, 1.25)),
-       u_min=st.sampled_from((0.0, 1e-12)), data=st.data())
-def test_simulate_is_step_applied_over_and_over(grid, right, m, beta, u_min,
-                                                data):
+       data=st.data())
+def test_simulate_is_step_applied_over_and_over(grid, right, m, beta, data):
     # two snapshot intervals at dt = 0.01: 4 steps of 0.01, then 3 of
     # 0.025/3. alpha = 2 puts every (m, beta) drawn in a regime with an
     # upper envelope, so analytic-clamp holds edge_clamp's value
     p = make_params(m, 2.0, beta)
     cfg = SolverConfig(dt=0.01, t_end=0.065, snapshots=(0.04, 0.065),
-                       right=right, u_min=u_min)
+                       right=right)
     # at most 0.4, so in so short a run the 0.5-level nears the right edge
     # only where the edge itself is held at 0.5 or more
     vals = 0.4 * data.draw(edge_values(grid.x.size))
@@ -700,11 +730,6 @@ def test_simulate_is_step_applied_over_and_over(grid, right, m, beta, u_min,
         # a grid that ends near x = 1 or before holds the clamp at 0.5
         assert edge() is not None and edge()(0.065) >= 0.5
         assume(False)
-    except StabilityFailure:
-        # a zero node with u_min = 0 and m != 1: the steps fail the same way
-        with pytest.raises(StabilityFailure):
-            list(repeated_steps())
-        return
     assert traj.dt_history.tolist() == [dt for _, dts in schedule
                                         for dt in dts]
     for got, want in zip(traj.fields[1:], repeated_steps(), strict=True):
@@ -713,24 +738,23 @@ def test_simulate_is_step_applied_over_and_over(grid, right, m, beta, u_min,
 
 
 @pytest.mark.parametrize("m, u, run", [
-    (2.0, 2.2e-311, "step"), (3.0, 1e-160, "step"),
-    (2.0, 2.2e-311, "simulate"), (3.0, 1e-160, "simulate"),
-], ids=["2.0-2.2e-311", "3.0-1e-160", "2.0-2.2e-311-simulate",
-        "3.0-1e-160-simulate"])
+    (27.0, 0.0, "step"), (30.0, 1e-11, "step"),
+    (27.0, 0.0, "simulate"), (30.0, 1e-11, "simulate"),
+], ids=["27.0-0.0", "30.0-1e-11", "27.0-0.0-simulate",
+        "30.0-1e-11-simulate"])
 def test_a_subnormal_diffusivity_is_a_typed_failure(m, u, run):
-    # m u^(m-1) is subnormal, so 1/(w a) overflows: the step must raise its
-    # own failure, not a numpy warning (which the test config makes an error)
-    # nor a silent inf, also under the errstate simulate holds over an
-    # interval's steps
+    # m max(u, 1e-12)^(m-1) is subnormal, so 1/(w a) overflows: the step
+    # must raise its own failure, not a numpy warning (which the test config
+    # makes an error) nor a silent inf, also under the errstate simulate
+    # holds over an interval's steps
     grid = Grid(x=np.array([0.0, 0.2386, 0.4846, 0.7383, 1.0]))
     p = make_params(m, 2.0, 1.25)
     with pytest.raises(StabilityFailure, match="non-finite"):
         if run == "step":
             fld = Field(values=np.full(grid.x.size, u), t=0.0)
-            step(fld, 1.0, grid, SolverConfig(u_min=0.0), p)
+            step(fld, 1.0, grid, SolverConfig(), p)
         else:
-            cfg = SolverConfig(dt=1.0, t_end=1.0, snapshots=(1.0,),
-                               u_min=0.0)
+            cfg = SolverConfig(dt=1.0, t_end=1.0, snapshots=(1.0,))
             simulate(lambda x: np.full(x.size, u), grid, cfg, p)
 
 
