@@ -4,10 +4,11 @@ Subcommands: classify, construct, shoot, wave, simulate, analyze,
 experiment, sweep. Each takes only the flags it reads; any other flag exits
 2. --config, the JSON config document, is required by simulate, analyze and
 experiment and taken by no other command; all three parse it in one place,
-so analyze tracks experiment.level as experiment does. analyze refuses a
-trajectory whose grid nodes are not the config's grid, bit for bit, or
-whose header names another run: simulate and experiment end the header with
-the sha256 of the config without its "experiment" section.
+so analyze tracks experiment.level as experiment does. Every trajectory
+header ends with the sha256 of the config its run was made under, without
+the config's "experiment" section; the reader refuses a header without one.
+analyze refuses a trajectory whose grid nodes are not the config's grid,
+bit for bit, or whose header names another run.
 --json, compact single-line JSON on stdout, is taken only by construct,
 analyze and experiment, which pretty-print without it. classify and shoot
 write no files. The other commands write JSON documents and CSV tables
@@ -159,8 +160,8 @@ def _add_io_flags(sp, out: Optional[Path], config: bool = False,
 # trajectory CSV round-trip (shared by simulate / analyze / experiment)
 
 # The reader checks this line exactly, so a file in any other format (the
-# older decimal table among them) is refused before its rows are read. A
-# trajectory of a configured run ends it with _RUN_TAG and the run's sha256.
+# older decimal table among them) is refused before its rows are read. The
+# line ends with _RUN_TAG and the sha256 of the run the file holds.
 _TRAJECTORY_HEADER = ("# frontlab trajectory: binary64 big-endian hex cells; "
                       "grid row nan x_0..x_n; "
                       "then one row t u(x_0)..u(x_n) per snapshot")
@@ -172,13 +173,11 @@ _NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
 def write_trajectory_csv(path: Path, traj: SolutionTrajectory,
-                         run_sha256: Optional[str] = None) -> None:
-    """Write the header, the grid row, then one `t,u(x)...` row per snapshot;
-    each cell is the 16 hex digits of a number's big-endian binary64 bits.
-    The header ends with the run's digest when one is given."""
-    header = _TRAJECTORY_HEADER
-    if run_sha256 is not None:
-        header += _RUN_TAG + run_sha256
+                         run_sha256: str) -> None:
+    """Write the header, ended by the run's digest, the grid row, then one
+    `t,u(x)...` row per snapshot; each cell is the 16 hex digits of a
+    number's big-endian binary64 bits."""
+    header = _TRAJECTORY_HEADER + _RUN_TAG + run_sha256
     row = np.empty(traj.grid.x.size + 1, dtype=">f8")
 
     def encode(head, values):
@@ -208,21 +207,19 @@ def _decode_row(line: bytes, seps: bytes) -> np.ndarray:
     return octets.view(">f8").ravel().astype(float)
 
 
-def _read_run(fh) -> Optional[str]:
-    """The run digest the header line of an open trajectory file names, or
-    None for a header without one; any other line is a DomainError."""
-    header = fh.readline().rstrip(b"\n").decode("utf-8", "replace")
-    head, tag, run = header.partition(_RUN_TAG)
-    if (head != _TRAJECTORY_HEADER
-            or (tag and not re.fullmatch("[0-9a-f]{64}", run))):
-        raise DomainError(f"unexpected trajectory header {header!r}")
-    return run or None
-
-
-def read_trajectory_csv(path: Path) -> SolutionTrajectory:
-    """Rebuild a trajectory written by `write_trajectory_csv`, row by row."""
+def read_trajectory_csv(path: Path) -> tuple:
+    """(trajectory, run sha256): rebuild, row by row, a trajectory written
+    by `write_trajectory_csv`, and read the run digest its header ends with.
+    """
     with open(path, "rb") as fh:
-        _read_run(fh)
+        header = fh.readline().rstrip(b"\n").decode("utf-8", "replace")
+        head, tag, run = header.partition(_RUN_TAG)
+        if (head != _TRAJECTORY_HEADER
+                or (tag and not re.fullmatch("[0-9a-f]{64}", run))):
+            raise DomainError(f"unexpected trajectory header {header!r}")
+        if not tag:
+            raise DomainError("trajectory header ends without a run sha256 "
+                              "(none recorded)")
         grid_row = fh.readline()
         if not grid_row:
             raise DomainError("trajectory file holds no grid row")
@@ -242,7 +239,7 @@ def read_trajectory_csv(path: Path) -> SolutionTrajectory:
     return SolutionTrajectory(grid=grid, times=tuple(f.t for f in fields),
                               fields=tuple(fields),
                               dt_history=np.asarray([]),
-                              max_residual=math.nan)
+                              max_residual=math.nan), run
 
 
 def _run_config(doc: dict):
@@ -441,7 +438,7 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     doc = read_config(args.config)
     bundle, _, level, eps = _run_config(doc)
-    traj = read_trajectory_csv(args.traj)
+    traj, run = read_trajectory_csv(args.traj)
     # the hex cells are exact, so a trajectory of this config's run holds
     # its grid to the bit; any other is refused, not analysed as this model
     x, x_cfg = traj.grid.x, bundle.grid.x
@@ -451,13 +448,10 @@ def _cmd_analyze(args) -> int:
             f"not the config's grid ({x_cfg.size} nodes on "
             f"[{x_cfg[0]:g}, {x_cfg[-1]:g}])")
     # the same grid under other parameters or settings is another run
-    with open(args.traj, "rb") as fh:
-        run = _read_run(fh)
     want = _run_sha256(doc)
     if run != want:
-        raise DomainError(f"trajectory was run under config sha256 "
-                          f"{run or '(none recorded)'}, not this config's "
-                          f"{want}")
+        raise DomainError(f"trajectory was run under config sha256 {run}, "
+                          f"not this config's {want}")
     outputs = _analyze_traj(traj, bundle.params, level, eps, Path(args.out),
                             args.as_json)
     _emit_manifest(args, doc, outputs, t0)

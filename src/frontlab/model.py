@@ -1,5 +1,5 @@
 """Model layer: equation parameters, the reaction r s^beta (1-s), front-like
-data, grids.
+data, grids (validated nodes only; the solver builds its operator on them).
 
 The equation throughout is du/dt = (u^m)_xx + f(u) on the line, with a
 monostable f and a nonincreasing datum that decays like C/x^alpha on the
@@ -8,7 +8,6 @@ right. alpha = inf selects a light (exponential) tail instead.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, StabilityFailure
+from .errors import DomainError
 
 # Decay rate of the light-tail variant (alpha = inf). Two is the classical
 # steepness threshold for linear diffusion, so these data spread at speed
@@ -192,23 +191,6 @@ def initial_data_build(C_or_Cbar: float, alpha: float, x0: float,
 
 
 @dataclass(frozen=True)
-class Stencil:
-    """dt-independent factors of a grid's nonuniform 3-point second difference.
-
-    The second difference is diag(w) @ K, where K is the symmetric
-    tridiagonal difference of the fluxes diff(v)/h with zero flux beyond
-    either end node. ``inv_h`` = 1/h over the cells, ``w`` = 2/(hl+hr) at
-    interior nodes and 2/h at the two end nodes (their zero-flux ghost
-    rows), and ``inv_sum`` holds the row sums 1/hl + 1/hr of -K's diagonal
-    (1/h at the ends). A step drops the Dirichlet right node's row.
-    """
-
-    inv_h: np.ndarray
-    w: np.ndarray
-    inv_sum: np.ndarray
-
-
-@dataclass(frozen=True)
 class Grid:
     """Strictly increasing finite abscissas; grid_build makes uniform or
     geometrically stretched ones."""
@@ -225,35 +207,6 @@ class Grid:
             raise DomainError("grid nodes must be strictly increasing")
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
-
-    @functools.cached_property
-    def stencil(self) -> Stencil:
-        """Built on first use and kept as long as the grid lives."""
-        h = np.diff(self.x)
-        inv_h = 1.0 / h
-        w = np.concatenate(([2.0 / h[0]], 2.0 / (h[:-1] + h[1:]),
-                            [2.0 / h[-1]]))
-        inv_sum = np.concatenate((inv_h[:1], inv_h[:-1] + inv_h[1:],
-                                  inv_h[-1:]))
-        for arr in (inv_h, w, inv_sum):
-            arr.setflags(write=False)
-        return Stencil(inv_h=inv_h, w=w, inv_sum=inv_sum)
-
-    def dt_system(self, dt: float) -> tuple:
-        """(dt*inv_sum, -dt/h) short of the Dirichlet right node: the dt-only
-        parts of a step's system, built and checked finite on each call and
-        returned read-only."""
-        st = self.stencil
-        # an overflow is reported below as a typed failure, not a warning
-        with np.errstate(over="ignore"):
-            diag = dt * st.inv_sum[:-1]
-            off = np.multiply(st.inv_h[:-1], -dt)
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-            raise StabilityFailure(
-                "semi-implicit system has non-finite entries")
-        diag.setflags(write=False)
-        off.setflags(write=False)
-        return diag, off
 
 
 def grid_build(kind: str, x_left: float, x_right: float, n: int,

@@ -6,10 +6,12 @@ left boundary, and a Dirichlet right boundary: held at zero or at the
 growth supersolution's edge value (``closedform.edge_clamp``), so the
 heavy tail is not truncated.
 
-``simulate`` prepares one stepper per snapshot interval, which takes once
-what stays the same over the interval's steps: the grid's dt-independent
-stencil factors (``Grid.stencil``), the system's dt-only parts (built by
-``Grid.dt_system`` once per interval), the diffusivity floor, the reaction
+``_operator`` builds the one discrete operator, the nonuniform 3-point
+second difference w (K v), from the grid's nodes once per ``simulate`` or
+``step`` call; the stepper, the solve and the snapshot residual all read
+it. ``simulate`` prepares one stepper per snapshot interval, which takes
+once what stays the same over the interval's steps: the operator, the
+system's dt-only parts, the diffusivity floor, the reaction
 (``model.default_reaction``), the right-edge rule and clamp, and work
 buffers for the flux, the rate, the diffusivity and the system. Each step
 computes u^m, the reaction, the diffusivity m*max(u, floor)^(m-1) and the
@@ -123,6 +125,24 @@ class ResidualReport:
     n: int
 
 
+def _operator(x: np.ndarray) -> tuple:
+    """(inv_h, w, inv_sum): the dt-independent factors of the nonuniform
+    3-point second difference diag(w) K on the nodes x.
+
+    K is the symmetric tridiagonal difference of the fluxes diff(v)/h with
+    zero flux beyond either end node. ``inv_h`` = 1/h over the cells, ``w``
+    = 2/(hl+hr) at interior nodes and 2/h at the two end nodes (their
+    zero-flux ghost rows), and ``inv_sum`` holds the row sums 1/hl + 1/hr
+    of -K's diagonal (1/h at the left end), short of the Dirichlet right
+    node, whose row a step drops.
+    """
+    h = np.diff(x)
+    inv_h = 1.0 / h
+    w = np.concatenate(([2.0 / h[0]], 2.0 / (h[:-1] + h[1:]), [2.0 / h[-1]]))
+    inv_sum = np.concatenate((inv_h[:1], inv_h[:-1] + inv_h[1:]))
+    return inv_h, w, inv_sum
+
+
 def _flux_diff(inv_h: np.ndarray, v: np.ndarray, flux: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     # K v into out: the difference of the fluxes diff(v)/h (kept in flux),
@@ -135,16 +155,16 @@ def _flux_diff(inv_h: np.ndarray, v: np.ndarray, flux: np.ndarray,
     return out
 
 
-def _second_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
+def _second_diff(op: tuple, v: np.ndarray) -> np.ndarray:
     # w (K v), with zero-flux ghost rows at both ends
-    out = _flux_diff(grid.stencil.inv_h, v, np.empty(v.size - 1),
-                     np.empty_like(v))
-    out *= grid.stencil.w
+    inv_h, w, _ = op
+    out = _flux_diff(inv_h, v, np.empty(v.size - 1), np.empty_like(v))
+    out *= w
     return out
 
 
-def _solver(grid: Grid, dt: float) -> Callable:
-    """solve(a, rate_w, out) for one grid and dt: out = delta, where
+def _solver(op: tuple, dt: float) -> Callable:
+    """solve(a, rate_w, out) for one operator and dt: out = delta, where
     (I - dt W K diag(a)) delta = dt W rate_w and W = diag(w).
 
     The right edge is Dirichlet: delta = 0 at the right node, whose row is
@@ -156,9 +176,15 @@ def _solver(grid: Grid, dt: float) -> Callable:
     The dt-only parts and the buffer are taken once. Solves run under
     np.errstate(**_QUIET); the scans turn an overflow into StabilityFailure.
     """
-    diag_dt, e = grid.dt_system(dt)
+    inv_h, w, inv_sum = op
+    # an overflow is reported below as a typed failure, not a warning
+    with np.errstate(over="ignore"):
+        diag_dt = dt * inv_sum
+        e = np.multiply(inv_h[:-1], -dt)
+    if not (np.isfinite(diag_dt).all() and np.isfinite(e).all()):
+        raise StabilityFailure("semi-implicit system has non-finite entries")
     k = diag_dt.size
-    w_k = grid.stencil.w[:k]
+    w_k = w[:k]
     # d and rhs are views of one buffer, so one scan guards them both
     system = np.empty(2 * k)
     d, rhs = system[:k], system[k:]
@@ -191,21 +217,21 @@ def _solver(grid: Grid, dt: float) -> Callable:
     return solve
 
 
-def _stepper(grid: Grid, dt: float, config: SolverConfig,
+def _stepper(op: tuple, dt: float, config: SolverConfig,
              params: ModelParams, clamp: Optional[Callable]) -> Callable:
     """advance(u, t_new, out): one step from the values u, written to out,
     a buffer that is not u; see ``step``.
 
     What stays the same from one step to the next is taken once: the
-    stencil, the solve for (grid, dt), the diffusivity floor, the reaction,
+    operator, the solve for (op, dt), the diffusivity floor, the reaction,
     the right-edge rule and the work buffers. A step must run under
     np.errstate(**_QUIET), like the solve; its caller checks u in [0, 1].
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
-    solve = _solver(grid, dt)
-    inv_h, w = grid.stencil.inv_h, grid.stencil.w
-    n = grid.x.size
+    solve = _solver(op, dt)
+    inv_h, w, _ = op
+    n = w.size
     flux, rate, diffusivity = np.empty(n - 1), np.empty(n), np.empty(n)
     m = params.m
     # a = m max(u, floor)^(m-1); the solve refuses a zero a (m past ~28)
@@ -247,7 +273,7 @@ def step(field: Field, dt: float, grid: Grid, config: SolverConfig,
     """
     if config.reaction_on:
         require_density(field.values)
-    advance = _stepper(grid, dt, config, params, clamp)
+    advance = _stepper(_operator(grid.x), dt, config, params, clamp)
     t_new = field.t + dt
     with np.errstate(**_QUIET):
         new = advance(field.values, t_new, np.empty(grid.x.size))
@@ -286,8 +312,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
         if config.right == "analytic-clamp":
             clamp = edge_clamp(params, kind, float(grid.x[-1]))
 
-    vals0 = np.clip(np.asarray(u0(grid.x), dtype=float), 0.0, 1.0)
-    fld = field_build(vals0, 0.0)
+    fld = field_build(u0(grid.x), 0.0)
     fields = [fld]
     times = [0.0]
     dts = []
@@ -295,13 +320,14 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     m = params.m
     # steps write to these two in turn, so none overwrites its own input
     outs = (np.empty(grid.x.size), np.empty(grid.x.size))
+    op = _operator(grid.x)
 
     for target in schedule:
         gap = target - times[-1]
         # the gap is over 1e-12, so this is at least one step
         n_steps = math.ceil(gap / config.dt * (1.0 - 1e-12))
         dt = gap / n_steps
-        advance = _stepper(grid, dt, config, params, clamp)
+        advance = _stepper(op, dt, config, params, clamp)
         u, t = fld.values, fld.t
         with np.errstate(**_QUIET):
             for i in range(n_steps):
@@ -315,7 +341,7 @@ def simulate(u0, grid: Grid, config: SolverConfig,
         f_now = (reaction_eval(params, fld.values)
                  if config.reaction_on else 0.0)
         r = ((fld.values - prev_vals) / dt
-             - _second_diff(grid, fld.values ** m) - f_now)
+             - _second_diff(op, fld.values ** m) - f_now)
         max_resid = max(max_resid, float(np.abs(r[1:-1]).max()))
         i = rightmost_crossing(fld.values, 0.5)
         if fld.values[-1] >= 0.5 or (i is not None and i >= grid.x.size - 11):

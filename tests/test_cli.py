@@ -177,7 +177,7 @@ def test_a_zero_node_under_fast_diffusion_exits_0(tmp_path):
     rc = main(["simulate", "--config", str(path),
                "--out", str(tmp_path / "out")])
     assert rc == 0
-    traj = read_trajectory_csv(tmp_path / "out" / "trajectory.csv")
+    traj, _ = read_trajectory_csv(tmp_path / "out" / "trajectory.csv")
     assert all(np.all((f.values >= 0.0) & (f.values <= 1.0))
                for f in traj.fields)
 
@@ -298,7 +298,7 @@ def test_whole_valued_float_counts_are_accepted(tmp_path):
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
-    traj = read_trajectory_csv(out / "trajectory.csv")
+    traj, _ = read_trajectory_csv(out / "trajectory.csv")
     assert traj.grid.x.size == 301
     assert len(traj.times) == 41
 
@@ -608,6 +608,9 @@ TRAJECTORY_HEADER = ("# frontlab trajectory: binary64 big-endian hex cells; "
                      "grid row nan x_0..x_n; "
                      "then one row t u(x_0)..u(x_n) per snapshot")
 NAN_CELL = "7ff8000000000000"
+# the run digest the library trajectories below are written with
+RUN = hashlib.sha256(b"a library trajectory").hexdigest()
+RUN_HEADER = TRAJECTORY_HEADER + "; run sha256 " + RUN
 
 
 def cell(v):
@@ -627,15 +630,16 @@ def test_trajectory_csv_round_trips_exactly(tmp_path):
                     SolverConfig(dt=0.01, t_end=0.5, snapshots=(0.25, 0.5),
                                  right="zero-value"), p)
     path = tmp_path / "t.csv"
-    write_trajectory_csv(path, traj)
-    back = read_trajectory_csv(path)
+    write_trajectory_csv(path, traj, RUN)
+    back, run = read_trajectory_csv(path)
+    assert run == RUN
     assert back.times == traj.times
     assert np.array_equal(back.grid.x, traj.grid.x)
     for fa, fb in zip(traj.fields, back.fields):
         assert np.array_equal(fa.values, fb.values)
     # the layout the README documents: header, grid row, one row per snapshot
     header, grid_row, *snapshot_rows = path.read_text().splitlines()
-    assert (header == TRAJECTORY_HEADER
+    assert (header == RUN_HEADER
             and grid_row.startswith(NAN_CELL + ",")
             and len(snapshot_rows) == len(traj.times))
 
@@ -647,8 +651,8 @@ def test_trajectory_reader_guards_the_format(tmp_path):
                 field_build([1.0, 0.6, 0.1], 0.5)),
         dt_history=np.asarray([]), max_residual=float("nan"))
     good = tmp_path / "good.csv"
-    write_trajectory_csv(good, traj)
-    assert read_trajectory_csv(good).times == traj.times
+    write_trajectory_csv(good, traj, RUN)
+    assert read_trajectory_csv(good)[0].times == traj.times
     header, grid_row, row0, row1 = good.read_text().splitlines()
 
     def with_cell(row, i, text):
@@ -663,6 +667,8 @@ def test_trajectory_reader_guards_the_format(tmp_path):
     malformed = (
         (["t,x,u", "0,0,0"], "header"),
         (old_decimal, "header"),
+        ([TRAJECTORY_HEADER, grid_row, row0, row1], "none recorded"),
+        ([header[:-1], grid_row, row0, row1], "header"),  # a short digest
         ([header], "no grid row"),
         ([header, grid_row], "no snapshots"),
         ([header, row0, row1], "start with nan"),
@@ -713,9 +719,9 @@ def test_trajectory_csv_bytes_are_the_hex_of_each_float(tmp_path):
         [t, *f.values.tolist()] for t, f in zip(edge.times, edge.fields)]
     ref = "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
     path = tmp_path / "t.csv"
-    write_trajectory_csv(path, edge)
-    assert path.read_bytes() == (TRAJECTORY_HEADER + "\n" + ref).encode()
-    back = read_trajectory_csv(path)
+    write_trajectory_csv(path, edge, RUN)
+    assert path.read_bytes() == (RUN_HEADER + "\n" + ref).encode()
+    back, _ = read_trajectory_csv(path)
     assert same_bits(back.grid.x, edge.grid.x)
     assert back.times == edge.times
     for fa, fb in zip(back.fields, edge.fields):
@@ -728,7 +734,7 @@ def test_trajectory_write_memory_is_bounded_by_one_row(tmp_path):
     traj = random_trajectory(20_001, 60)
     tracemalloc.start()
     try:
-        write_trajectory_csv(tmp_path / "big.csv", traj)
+        write_trajectory_csv(tmp_path / "big.csv", traj, RUN)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -741,10 +747,10 @@ def test_trajectory_read_memory_is_bounded_by_the_fields(tmp_path):
     # about one row, where a whole-file table would double the peak
     traj = random_trajectory(20_001, 60)
     path = tmp_path / "big.csv"
-    write_trajectory_csv(path, traj)
+    write_trajectory_csv(path, traj, RUN)
     tracemalloc.start()
     try:
-        back = read_trajectory_csv(path)
+        back, _ = read_trajectory_csv(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -895,15 +901,19 @@ def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):
     assert lines == ["m,alpha,beta,regime,gamma,exponent,label,status"]
 
 
-# sha256 of report.json and trace.csv from `experiment` on a shipped config
+# sha256 of trajectory.csv, report.json and trace.csv from `experiment` on a
+# shipped config; the trajectory pins the bits of every step
 GOLDEN_EXPERIMENTS = {
     "fde_kpp": (
+        "0fc3501b281faafd9f80fb4a69dc468c747d88e54eab448c56f8276c57191131",
         "ab97f3bdf74f5adcebb80a4736f1a8f43df898df4589e7601bd20e2e2dbe1f53",
         "fa3dac70668e63387ec99035719531e1f9505bf505fcb9777bd449c12fb87702"),
     "noacc": (
+        "fe8dd620cb3e800d6b5bcdbf8a87d1695b2f7622418bd053ea2d40d42cd57ee6",
         "b8eee0b36ed1bcde7b3f598a12fc5f165adc52cb5e630df53488eacf68c5d8f3",
         "ed5c772485bd273ca027dbca7c64679065996426f7c8b7c82c27ad9af7e65c5b"),
     "pme_poly": (
+        "f3655a5efab123699078efa5f04d12860dfdd1a6ebde72ba6c831c391350ff53",
         "db558457f2bbacec8e1bc27e25db0689e56473ac3fc8b11171af41f8d3e9c221",
         "ed2d65cc2930f34e544e1d7f196e0cab0a10e6e3ad7d6c68d31d6fa938ed4d70"),
 }
@@ -919,7 +929,11 @@ def test_experiment_on_a_shipped_config_matches_the_golden_hashes(
     # analyze reads the trajectory back and must write the same bytes
     assert main(["analyze", "--config", str(config), "--traj",
                  str(exp / "trajectory.csv"), "--out", str(ana)]) == 0
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert sha256(exp / "trajectory.csv") == GOLDEN_EXPERIMENTS[name][0]
     for out in (exp, ana):
-        digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
-                        for f in ("report.json", "trace.csv"))
-        assert digests == GOLDEN_EXPERIMENTS[name], out.name
+        digests = tuple(sha256(out / f) for f in ("report.json", "trace.csv"))
+        assert digests == GOLDEN_EXPERIMENTS[name][1:], out.name

@@ -31,6 +31,7 @@ from frontlab.model import (
 from frontlab.regimes import classify
 from frontlab.solver import (
     SolverConfig,
+    _operator,
     _second_diff,
     _solver,
     discrete_residual,
@@ -164,8 +165,9 @@ def test_semi_implicit_solve_matches_the_dense_system(right):
     A[-1, -1] = 1.0
     b[-1] = 0.0
     want = np.linalg.solve(A, b)
+    op = _operator(grid.x)
     with np.errstate(over="ignore", divide="ignore"):
-        got = _solver(grid, dt)(a, rate / grid.stencil.w, np.empty(n))
+        got = _solver(op, dt)(a, rate / op[1], np.empty(n))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # a whole step at m = 2 without reaction: a = 2u, rate = L u^2
     u = 0.5 + 0.2 * np.sin(grid.x)
@@ -199,7 +201,7 @@ def test_second_difference_converges_at_second_order(u, exact):
         grid = grid_build("geometric", -6.0, 10.0, n, ratio=q)
         if prev is not None:
             assert np.allclose(grid.x[::2], prev.x, rtol=0.0, atol=1e-12)
-        lap = _second_diff(grid, u(grid.x) ** m)
+        lap = _second_diff(_operator(grid.x), u(grid.x) ** m)
         errs.append(np.max(np.abs(lap[1:-1] - exact(grid.x[1:-1]))))
         prev, n, q = grid, 2 * n, math.sqrt(q)
     for coarse, fine in zip(errs, errs[1:]):
@@ -277,6 +279,18 @@ def test_a_density_outside_the_unit_interval_is_refused_as_it_enters(bad):
         step(fld, 1e-2, grid, SolverConfig(), p)
     with pytest.raises(StabilityFailure):
         step(fld, 1e-2, grid, SolverConfig(reaction_on=False), p)
+
+
+@pytest.mark.parametrize("bad", [math.inf, 1.5, -0.3])
+def test_simulate_refuses_a_datum_outside_the_unit_interval(bad):
+    # the datum enters through field_build's check, not clipped into range
+    p = make_params(2.0, 2.0, 1.25)
+    grid = grid_build("uniform", -5.0, 20.0, 100)
+    vals = initial_data_build(1.0, 2.0, 2.0, 1.0)(grid.x)
+    vals[50] = bad
+    cfg = SolverConfig(dt=1e-2, t_end=0.1, right="zero-value")
+    with pytest.raises(DomainError, match="field values"):
+        simulate(lambda x: vals, grid, cfg, p)
 
 
 def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
@@ -552,8 +566,9 @@ def test_solve_matches_the_dense_system_on_random_grids(grid, dt, data):
     A[-1, -1] = 1.0
     b[-1] = 0.0
     want = np.linalg.solve(A, b)
+    op = _operator(grid.x)
     with np.errstate(over="ignore", divide="ignore"):
-        got = _solver(grid, dt)(a, rate / grid.stencil.w, np.empty(n))
+        got = _solver(op, dt)(a, rate / op[1], np.empty(n))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -589,9 +604,10 @@ def test_ordered_data_give_ordered_steps(grid, right, dt, data):
 # --- the step against its reference, bit for bit ----------------------------
 
 def oracle_step(field, dt, grid, config, params, clamp=None):
-    """The step as it read before its dt-only parts were kept on the grid
-    and its stages ran in place, with the diffusivity floored at 1e-12 for
-    m >= 1 and 1e-300 for m < 1: the reference step must match bit for bit.
+    """The step as it read before its stages ran in place, with 1/h, the
+    node weights and the row sums built here from the nodes, node by node,
+    and the diffusivity floored at 1e-12 for m >= 1 and 1e-300 for m < 1:
+    the reference step must match bit for bit.
 
     Returns the new values and time; raises what that step raised.
     """
@@ -599,11 +615,20 @@ def oracle_step(field, dt, grid, config, params, clamp=None):
         raise DomainError("dt must be positive")
     u = field.values
     m = params.m
-    stencil = grid.stencil
+    n = u.size
+    h = np.diff(grid.x)
+    inv_h = 1.0 / h
+    # the zero-flux ghost rows at both ends give the end nodes 2/h and -K's
+    # left row sum 1/h; the Dirichlet right node's row sum is never read
+    w = np.array([2.0 / h[0]]
+                 + [2.0 / (h[i - 1] + h[i]) for i in range(1, n - 1)]
+                 + [2.0 / h[-1]])
+    inv_sum = np.array([inv_h[0]]
+                       + [inv_h[i - 1] + inv_h[i] for i in range(1, n - 1)])
 
     def flux_diff(v):
         flux = np.diff(v)
-        flux *= stencil.inv_h
+        flux *= inv_h
         out = np.empty_like(v)
         out[0] = flux[0]
         np.subtract(flux[1:], flux[:-1], out=out[1:-1])
@@ -614,21 +639,20 @@ def oracle_step(field, dt, grid, config, params, clamp=None):
     if config.reaction_on:
         if not (u.min() >= 0.0 and u.max() <= 1.0):
             raise DomainError("density outside [0,1]")
-        rate_w += params.r * u ** params.beta * (1.0 - u) / stencil.w
+        rate_w += params.r * u ** params.beta * (1.0 - u) / w
     floor = 1e-12 if m >= 1.0 else 1e-300
     with np.errstate(divide="ignore", over="ignore"):
         a = m * np.maximum(u, floor) ** (m - 1.0)
     if not (0.0 < a.min() and a.max() < math.inf):
         raise StabilityFailure("diffusivity is zero, infinite or NaN")
-    n = a.size
     k = n - 1
     buf = np.empty(3 * k - 1)
     d, e, rhs = buf[:k], buf[k:2 * k - 1], buf[2 * k - 1:]
-    np.multiply(stencil.w[:k], a[:k], out=d)
+    np.multiply(w[:k], a[:k], out=d)
     with np.errstate(over="ignore", divide="ignore"):
         np.divide(1.0, d, out=d)
-    d += dt * stencil.inv_sum[:k]
-    np.multiply(stencil.inv_h[:k - 1], -dt, out=e)
+    d += dt * inv_sum
+    np.multiply(inv_h[:k - 1], -dt, out=e)
     np.multiply(rate_w[:k], dt, out=rhs)
     if not np.isfinite(buf).all():
         raise StabilityFailure("semi-implicit system has non-finite entries")
@@ -770,10 +794,6 @@ def test_kept_dt_parts_neither_go_stale_nor_change():
         want = step(fld, dt, build(), cfg, p).values
         fld = step(fld, dt, grid, cfg, p)
         assert same_bits(fld.values, want)
-
-    for part in grid.dt_system(1e-2):
-        with pytest.raises(ValueError):
-            part[0] = 1.0
 
     # dt * inv_sum overflows: the kept parts are checked when built
     with pytest.raises(StabilityFailure, match="non-finite"):
