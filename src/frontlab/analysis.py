@@ -95,46 +95,41 @@ def track_level(traj, lam: float) -> LevelSetTrace:
 FIT_WINDOW = 1.0 / 3.0
 
 
-def _tail_window(trace: LevelSetTrace):
-    n = len(trace)
-    k = max(int(math.ceil(FIT_WINDOW * n)), 2)
-    t_w = trace.t[n - k:]
-    x_w = trace.x[n - k:]
-    if t_w.size < 10:
-        raise DomainError("fit window needs at least 10 trace points")
-    return t_w, x_w
-
-
 def _line_fit(a: np.ndarray, b: np.ndarray):
     coef, res, *_ = np.polyfit(a, b, 1, full=True)
     rms = float(np.sqrt(res[0] / a.size)) if res.size else 0.0
     return float(coef[0]), rms
 
 
-def fit_exponential_rate(trace: LevelSetTrace,
-                         reference: Optional[float] = None) -> FitReport:
-    """Slope of ln x_lambda(t) against t over the final third of the trace."""
-    t_w, x_w = _tail_window(trace)
+def _fit(trace: LevelSetTrace, reference: Optional[float], log_t: bool,
+         what: str) -> FitReport:
+    # ln x_lambda against t, or against ln t with log_t, on the window
+    n = len(trace)
+    k = max(int(math.ceil(FIT_WINDOW * n)), 2)
+    t_w = trace.t[n - k:]
+    x_w = trace.x[n - k:]
+    if t_w.size < 10:
+        raise DomainError("fit window needs at least 10 trace points")
+    if log_t and np.any(t_w < 1.0):
+        raise DomainError(f"{what} fit needs all window times >= 1")
     if np.any(x_w <= 0.0):
-        raise DegenerateFit("exponential fit needs positive positions")
-    slope, rms = _line_fit(t_w, np.log(x_w))
+        raise DegenerateFit(f"{what} fit needs positive positions")
+    slope, rms = _line_fit(np.log(t_w) if log_t else t_w, np.log(x_w))
     ratio = slope / reference if reference else math.nan
     return FitReport(value=slope, window=(float(t_w[0]), float(t_w[-1])),
                      residual_norm=rms, ratio=ratio)
+
+
+def fit_exponential_rate(trace: LevelSetTrace,
+                         reference: Optional[float] = None) -> FitReport:
+    """Slope of ln x_lambda(t) against t over the final third of the trace."""
+    return _fit(trace, reference, log_t=False, what="exponential")
 
 
 def fit_polynomial_exponent(trace: LevelSetTrace,
                             reference: Optional[float] = None) -> FitReport:
     """Slope of ln x_lambda against ln t over the final third of the trace."""
-    t_w, x_w = _tail_window(trace)
-    if np.any(t_w < 1.0):
-        raise DomainError("power-law fit needs all window times >= 1")
-    if np.any(x_w <= 0.0):
-        raise DegenerateFit("power-law fit needs positive positions")
-    slope, rms = _line_fit(np.log(t_w), np.log(x_w))
-    ratio = slope / reference if reference else math.nan
-    return FitReport(value=slope, window=(float(t_w[0]), float(t_w[-1])),
-                     residual_norm=rms, ratio=ratio)
+    return _fit(trace, reference, log_t=True, what="power-law")
 
 
 def sandwich_check(trace: LevelSetTrace, env: Envelope) -> SandwichReport:
@@ -213,8 +208,6 @@ def report_json(trace: LevelSetTrace, fit: Optional[FitReport] = None,
     if fit is not None:
         out["fit"] = {"value": fit.value, "window": list(fit.window),
                       "residual_norm": fit.residual_norm, "ratio": fit.ratio}
-        if fit.passed is not None:
-            out["fit"]["pass"] = fit.passed
     if sandwich is not None:
         out["sandwich"] = {"pass": sandwich.passed, "T": sandwich.T}
         out["violations"] = list(sandwich.violations)

@@ -25,8 +25,10 @@ the sha256 of its canonical JSON, the output paths and the wall-clock
 time. It holds no hash of the outputs, so it records what ran, not which
 bytes came out.
 
-Exit codes: 0 ok, 2 usage or domain error (a malformed config included),
-3 numerical failure, 4 infeasible constant selection.
+Exit codes: 0 ok, 2 a usage error (from argparse); otherwise the exit_code
+of the FrontlabError raised, after a "frontlab: <message>" line on stderr:
+2 for DomainError and RegimeMismatch (a malformed config included), 4 for
+InfeasibleSelection, 3 for every other class (a numerical failure).
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import analysis, closedform, waves
-from .errors import (DomainError, FrontlabError, InfeasibleSelection,
-                     RegimeMismatch)
+from .errors import DomainError, FrontlabError
 from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
                     config_number, config_section, default_reaction,
                     field_build, params_to_dict, read_config)
@@ -94,8 +95,6 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, str):
         return v
     return format(float(v), ".17g")
@@ -406,21 +405,20 @@ def _linear_report(params: ModelParams,
 def _analyze_traj(traj: SolutionTrajectory, params: ModelParams,
                   level: float, eps: Optional[float], out_dir: Path,
                   compact: bool):
+    # the kind's number (regimes.NUMBER_FIELD) names the law to fit; every
+    # regime with envelopes, whether a pair or a floor, gets its sandwich
     kind = classify(params.m, params.alpha, params.beta)
     trace = analysis.track_level(traj, level)
-    fit = None
-    sandwich = None
+    fit = sandwich = None
     extra = {}
-    if kind.regime is Regime.EXPONENTIAL:
+    if kind.gamma is not None:
         fit = analysis.fit_exponential_rate(
             trace, reference=params.r * kind.gamma)
-        sandwich = analysis.sandwich_check(trace, envelopes(params, eps))
-    elif kind.regime in (Regime.POLYNOMIAL, Regime.POLY_LOWER_ONLY):
+    elif kind.exponent is not None:
         fit = analysis.fit_polynomial_exponent(trace, reference=kind.exponent)
-        sandwich = analysis.sandwich_check(trace, envelopes(params, eps))
-    elif kind.regime is Regime.NO_ACCELERATION:
+    if kind.regime is Regime.NO_ACCELERATION:
         extra["linear"] = _linear_report(params, trace)
-    elif kind.regime is Regime.INFINITE_SPEED:
+    elif kind.regime is not Regime.BOUNDARY:
         sandwich = analysis.sandwich_check(trace, envelopes(params, eps))
     report = analysis.report_json(trace, fit, sandwich)
     report["regime"] = kind.regime.value
@@ -599,15 +597,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, RegimeMismatch) as exc:
-        print(f"frontlab: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleSelection as exc:
-        print(f"frontlab: {exc}", file=sys.stderr)
-        return 4
     except FrontlabError as exc:
         print(f"frontlab: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -97,6 +97,20 @@ def _enforce(kind: str, checks) -> tuple:
     return checks
 
 
+def _in_range(what: str, compute: Callable[[], float]) -> float:
+    # compute() on Python floats, refused by name once it leaves the float
+    # range: a power that overflows raises OverflowError, one that underflows
+    # to 0 and then divides raises ZeroDivisionError, and a product or
+    # quotient that overflows is inf
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not abs(value) < math.inf:
+        raise InfeasibleSelection(f"{what} is out of float range")
+    return value
+
+
 def _grow_until(pred, start: float, label: str) -> float:
     # doubling search, then log-bisection down to ~3 significant digits
     x = float(start)
@@ -142,8 +156,10 @@ def _rho_checks(r: float, eps: float, beta: float, eta: float,
 
 def _plateau_A(kappa: float, eta: float, s0: float) -> float:
     # twice the largest of the three lower bounds on A of a plateau cut
-    return 2.0 * max(1.0, 1.0 / (kappa ** eta * (1.0 + eta)),
-                     (eta / (s0 * (1.0 + eta))) ** eta / (1.0 + eta))
+    return _in_range(f"plateau cut: A at kappa {kappa:.6g}, eta {eta:.6g}",
+                     lambda: 2.0 * max(
+                         1.0, 1.0 / (kappa ** eta * (1.0 + eta)),
+                         (eta / (s0 * (1.0 + eta))) ** eta / (1.0 + eta)))
 
 
 def _enlarge_tail(ok, C: float, x0: float, a: float, onset_margin: float,
@@ -151,8 +167,10 @@ def _enlarge_tail(ok, C: float, x0: float, a: float, onset_margin: float,
     # keep the datum onset C/x0^a below 1: x0 moves to 2 C^(1/a) unless the
     # onset lies below onset_margin^a already. Then double x0 (and C on a
     # critical curve, where the x0-exponents vanish) until ok(C, x0).
-    if C ** (1.0 / a) >= onset_margin * x0:
-        x0 = 2.0 * C ** (1.0 / a)
+    onset_x = _in_range(f"the tail onset C^(1/a) at C {C:.6g}, a {a:.6g}",
+                        lambda: C ** (1.0 / a))
+    if onset_x >= onset_margin * x0:
+        x0 = 2.0 * onset_x
     for _ in range(200):
         if ok(C, x0):
             return C, x0
@@ -220,7 +238,8 @@ def growth_eval(g: GrowthSolution, t, x):
 
 def level_curve(theta: float, t, C: float, alpha: float, beta: float,
                 rho: float):
-    """The abscissa y_theta(t) where the tail-datum growth solution equals theta."""
+    """The abscissa y_theta(t) where the tail-datum growth solution equals
+    theta; a curve past the float range is an InfeasibleSelection."""
     if not 0.0 < theta < C:
         raise DomainError("need 0 < theta < C")
     if not (alpha > 0 and math.isfinite(alpha)):
@@ -230,13 +249,21 @@ def level_curve(theta: float, t, C: float, alpha: float, beta: float,
     ta = np.asarray(t, dtype=float)
     if np.any(ta < 0.0):
         raise DomainError("t must be nonnegative")
-    if beta == 1.0:
-        out = (C / theta) ** (1.0 / alpha) * np.exp(rho * ta / alpha)
-    else:
-        bm1 = beta - 1.0
-        out = ((C / theta) ** bm1
-               + rho * C ** bm1 * bm1 * ta) ** (1.0 / (alpha * bm1))
-    out = np.asarray(out)
+    bm1 = beta - 1.0
+
+    def curve(tv, exp):
+        if beta == 1.0:
+            return (C / theta) ** (1.0 / alpha) * exp(rho * tv / alpha)
+        return ((C / theta) ** bm1
+                + rho * C ** bm1 * bm1 * tv) ** (1.0 / (alpha * bm1))
+
+    # the curve grows with t, so its value at the latest t, taken on Python
+    # floats, which raise or give inf where numpy would warn, bounds the rest
+    t_top = float(ta.max(initial=0.0))
+    _in_range(f"level curve y_theta(t) at t {t_top:.6g} (theta {theta:.6g}, "
+              f"alpha {alpha:.6g}, beta {beta:.6g})",
+              lambda: curve(t_top, math.exp))
+    out = np.asarray(curve(ta, np.exp))
     return float(out) if out.ndim == 0 else out
 
 
@@ -291,8 +318,10 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         lambda x: slope_term(x) <= rhs_slope and curv_term(x) <= rhs_curv,
         start=2.0 * u0.x0, label="the tail slope/curvature estimates")
     kappa = min(u0.plateau, float(u0(x1)))
-    A = 2.0 * max(kappa ** (-eta),
-                  (eta / (params.s0 * (1.0 + eta))) ** eta / (1.0 + eta))
+    A = _in_range(f"bump subsolution: A at kappa {kappa:.6g}, eta {eta:.6g}",
+                  lambda: 2.0 * max(kappa ** (-eta),
+                                    (eta / (params.s0 * (1.0 + eta))) ** eta
+                                    / (1.0 + eta)))
     bump_max = (eta / (1.0 + eta)) * (A * (1.0 + eta)) ** (-1.0 / eta)
 
     checks = _enforce("bump subsolution", (
@@ -315,7 +344,10 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         return np.maximum(0.0, w - A * w ** (1.0 + eta))
 
     def sampler():
-        x_lo = max((C / (0.45 * cut)) ** (1.0 / alpha), 1.1 * x1)
+        x_lo = max(_in_range("bump subsolution: the sampled abscissa "
+                             "(C/(0.45 cut))^(1/alpha)",
+                             lambda: (C / (0.45 * cut)) ** (1.0 / alpha)),
+                   1.1 * x1)
         pieces = []
         for x in np.geomspace(x_lo, 3.0 * x_lo, 32):
             u_here = C / x ** alpha
@@ -626,7 +658,9 @@ def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         lambda Cv, xv: tail_lhs(Cv, xv) <= rhs, params.C_bar, params.x0,
         a_eff, 0.99, critical,
         "clamped growth: tail curvature bound never satisfied")
-    onset = C_eff / x0_eff ** a_eff
+    onset = _in_range(f"clamped growth: the datum onset C/x0^a at x0 "
+                      f"{x0_eff:.6g}, a {a_eff:.6g}",
+                      lambda: C_eff / x0_eff ** a_eff)
 
     checks = _enforce("clamped growth supersolution", (
         Check("epsilon < r", params.r - eps, strict=True),
@@ -642,6 +676,10 @@ def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         if beta == 1.0:
             w = u * np.exp(rho * t)
         else:
+            if not u.all():
+                raise DomainError(
+                    f"clamped growth: the tail C/x^a underflows to 0 at x "
+                    f"{float(x[u == 0.0].min()):.6g} (a {a_eff:.6g})")
             base = u ** (-bm1) - rho * bm1 * t
             w = np.where(base > 0.0, base, 1.0) ** (-1.0 / bm1)
             w = np.where(base > 0.0, w, 2.0)  # past blow-up: clamp wins
@@ -723,8 +761,10 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
     r_bar = params.r_bar
     p = 1.0 / (beta - 1.0)
     K = max(1.0, params.C_bar)
-    z0 = K ** (1.0 / p)
-    z1 = (K / params.s0) ** (1.0 / p)
+    what = "constant-speed supersolution: "
+    z0 = _in_range(what + "z0 = K^(beta-1)", lambda: K ** (1.0 / p))
+    z1 = _in_range(what + "z1 = (K/s0)^(beta-1)",
+                   lambda: (K / params.s0) ** (1.0 / p))
     mp = m * p
     gap = mp + 1.0 - p  # >= 0 off the beta = 2-m boundary
     sup_f = r_bar      # f <= r_bar s^beta <= r_bar on [0,1]
@@ -739,9 +779,11 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
             return max(z1, (num / den) ** (1.0 / gap))
         return z1 if num <= den else None
 
+    z0_pow = _in_range(what + "z0^(mp+2)", lambda: z0 ** (mp + 2.0))
+
     def compact_ok(cv, z2v):
-        return (num / z0 ** (mp + 2.0) - cv * K * p / z2v ** (p + 1.0)
-                + sup_f <= 0.0)
+        z2_pow = _in_range(what + "z2^(p+1)", lambda: z2v ** (p + 1.0))
+        return num / z0_pow - cv * K * p / z2_pow + sup_f <= 0.0
 
     c = 2.0 * base
     for _ in range(80):
@@ -753,7 +795,10 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
         raise InfeasibleSelection(
             "constant-speed supersolution: no speed satisfies both bounds")
 
-    # true residual (w^m)'' + c w' + f(w) on the advertised z-grid
+    # true residual (w^m)'' + c w' + f(w) on the advertised z-grid, whose
+    # nodes are >= z0 >= 1, so its largest power is at its right end
+    _in_range(what + "the residual grid's (10 z2)^max(p+1, mp+2)",
+              lambda: (10.0 * z2) ** max(p + 1.0, mp + 2.0))
     zg = np.geomspace(z0, 10.0 * z2, 2000)
     # w can round one ulp above 1 at z0, past reaction_eval's domain check
     w = K / zg ** p
@@ -767,7 +812,7 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
         Check("exponent ordering p+1 <= mp+2", gap),
         Check("far-field threshold finite", z2 - z1),
         Check("compact-region bound",
-              -(num / z0 ** (mp + 2.0) - c * K * p / z2 ** (p + 1.0) + sup_f)),
+              -(num / z0_pow - c * K * p / z2 ** (p + 1.0) + sup_f)),
         Check("residual sign on [z0, 10 z2]", 1e-12 - resid_max),
     ))
 

@@ -1,8 +1,9 @@
 """Exception taxonomy shared by every module.
 
 All failures raised on purpose by this package derive from FrontlabError,
-so callers (and the CLI exit-code mapping) can tell deliberate rejections
-from genuine bugs.
+so callers can tell deliberate rejections from genuine bugs. Each class
+carries the exit code the CLI returns for it: 2 (invalid input) for
+DomainError and RegimeMismatch, 4 for InfeasibleSelection, 3 for the rest.
 """
 
 from __future__ import annotations
@@ -10,18 +11,22 @@ from __future__ import annotations
 
 class FrontlabError(Exception):
     """Base class for all deliberate failures."""
+    exit_code = 3
 
 
 class DomainError(FrontlabError):
     """Arguments outside the mathematical domain of an operation."""
+    exit_code = 2
 
 
 class InfeasibleSelection(FrontlabError):
     """No admissible constant selection; message names the failing inequality."""
+    exit_code = 4
 
 
 class RegimeMismatch(FrontlabError):
     """Operation requested for parameters whose regime does not support it."""
+    exit_code = 2
 
 
 class BlowUp(FrontlabError):

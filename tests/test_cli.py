@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 
 import frontlab
-from frontlab import waves
+from frontlab import errors, waves
 from frontlab.cli import (_atomic_write, main, read_trajectory_csv,
                           write_trajectory_csv)
-from frontlab.errors import DomainError
+from frontlab.errors import DomainError, FrontlabError
 from frontlab.model import (
     ModelParams,
     default_reaction,
@@ -73,6 +75,12 @@ def test_classify_reports_the_regime(capsys):
     assert main(["classify", "--m", "0.5", "--alpha", "3",
                  "--beta", "1.4"]) == 0
     assert last_json(capsys)["regime"] == "InfiniteSpeedUnlocalized"
+
+    # a boundary cell names the curve it sits on
+    assert main(["classify", "--m", "2", "--alpha", "2",
+                 "--beta", "1.5"]) == 0
+    assert last_json(capsys) == {"label": "beta=1+1/alpha",
+                                 "regime": "Boundary"}
 
 
 def test_classify_demands_its_flags():
@@ -226,11 +234,80 @@ def test_a_tail_past_the_float_range_beyond_the_onset_is_zero(tmp_path):
                  str(tmp_path)]) == 0
 
 
+def readme_exit_codes():
+    """{error class name: exit code} from the README's exit-code table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    codes = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 5 and cells[1].strip().isdigit():
+            for name in re.findall(r"`(\w+)`", cells[3]):
+                codes[name] = int(cells[1])
+    return codes
+
+
+def test_every_error_class_exits_with_the_code_the_readme_gives():
+    classes = [FrontlabError]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    assert {cls.__name__ for cls in classes} == {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, FrontlabError)}
+    assert {cls.__name__: cls.exit_code for cls in classes} == \
+        readme_exit_codes()
+
+
 def test_infeasible_selection_exits_4(tmp_path):
     # epsilon lies in (0, 1) but not below r, which growth-super needs
     assert main(["construct", "--kind", "growth-super", "--m", "0.5",
                  "--alpha", "3", "--beta", "1.2", "--epsilon", "0.5",
                  "--r", "0.4", "--out", str(tmp_path)]) == 4
+
+
+# closed-form constructions whose arithmetic leaves the float range, each
+# refused with the quantity named; each once raised a bare OverflowError or
+# ZeroDivisionError, or warned of an overflow (an error under pytest and CI)
+FLOAT_RANGE_CONSTRUCTS = [
+    ("const-super --m 2 --alpha 1 --beta 1026", 4, "z1 = (K/s0)^(beta-1)"),
+    ("pme-bump --m 1.001 --alpha 0.001 --beta 1", 4,
+     "abscissa (C/(0.45 cut))^(1/alpha)"),
+    ("fde-sub --m 0.05 --alpha 0.001 --beta 1", 4, "level curve"),
+    ("fde-sub --m 0.999 --alpha 100 --beta 1", 4, "A at kappa"),
+    ("growth-super --m 0.05 --alpha 0.001 --beta 1 --C 1000 --C-bar 1000 "
+     "--s0 0.99 --x0 1e6", 4, "tail onset C^(1/a)"),
+    ("growth-super --m 0.05 --alpha 0.001 --beta 1.0001", 4, "level curve"),
+]
+
+
+@pytest.mark.parametrize("flags,code,quantity", FLOAT_RANGE_CONSTRUCTS,
+                         ids=["const-super-z1", "pme-bump-abscissa",
+                              "fde-sub-level-curve", "fde-sub-A",
+                              "growth-super-onset",
+                              "growth-super-level-curve"])
+def test_a_construction_past_the_float_range_is_refused_by_name(
+        capsys, flags, code, quantity):
+    assert main(["construct", "--kind", *flags.split()]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("frontlab: ") and quantity in err
+    assert "out of float range" in err
+
+
+@pytest.mark.parametrize("kind", ["pme-bump", "fde-sub", "appendix-sub",
+                                  "growth-super", "const-super",
+                                  "right-tail"])
+def test_constructions_at_extreme_exponents_fail_only_with_typed_errors(
+        capsys, kind):
+    # each cell certifies or exits with a FrontlabError's code; any other
+    # exception, a numpy warning among them, escapes main
+    for m, alpha, beta in itertools.product(
+            ("0.05", "0.999", "1.001", "2", "30"),
+            ("1e-3", "100", "1e4", "inf"), ("1", "1.0001", "2000")):
+        rc = main(["construct", "--kind", kind, "--m", m, "--alpha", alpha,
+                   "--beta", beta])
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc in (2, 3, 4) and err.startswith("frontlab: ")
+                           and "Traceback" not in err), (m, alpha, beta)
 
 
 @pytest.mark.parametrize("spoil", [
@@ -338,6 +415,8 @@ def test_construct_prints_and_saves_the_description(tmp_path, capsys):
 
 CONSTRUCT_HOMES = [
     ("pme-bump", "2", "2", "1.25"),
+    # at beta = 1 the sampler times the growth to the cut exponentially
+    ("pme-bump", "2", "2", "1"),
     ("fde-sub", "0.5", "8", "1"),
     ("appendix-sub", "0.5", "3", "1.2"),
     ("growth-super", "0.5", "3", "1.2"),
@@ -902,7 +981,10 @@ def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):
 
 
 # sha256 of trajectory.csv, report.json and trace.csv from `experiment` on a
-# shipped config; the trajectory pins the bits of every step
+# shipped config; the trajectory pins the bits of every step. One set per
+# pow numpy can take: its AVX-512 loop rounds about 5 % of elements
+# differently from libm's pow, which it uses on other CPUs, and the steps
+# raise to powers. This set is the AVX-512 one
 GOLDEN_EXPERIMENTS = {
     "fde_kpp": (
         "0fc3501b281faafd9f80fb4a69dc468c747d88e54eab448c56f8276c57191131",
@@ -919,9 +1001,47 @@ GOLDEN_EXPERIMENTS = {
 }
 
 
+# the same where numpy's pow is libm's (no AVX-512 dispatch, as under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" with numpy 2.4)
+GOLDEN_EXPERIMENTS_LIBM_POW = {
+    "fde_kpp": (
+        "005ab6c17082e74b74da39eabc8697973b4824a4493c6fbb7e213a71722ff05c",
+        "49a0c79c31bb354c5560d2855d04434d64e813f0cf6ae3c7393c63acc141a22c",
+        "64932790591b56d93b8fbf3a51993a13ed3773776ae153d97693131733e2d158"),
+    "noacc": (
+        "82a9237fed889275433512bb348738227b082c3a374f045c4f170fa2648793d9",
+        "b8eee0b36ed1bcde7b3f598a12fc5f165adc52cb5e630df53488eacf68c5d8f3",
+        "ed5c772485bd273ca027dbca7c64679065996426f7c8b7c82c27ad9af7e65c5b"),
+    "pme_poly": (
+        "a39c39d39a00abe9138a7bfa397a9d0c68ec0c567a972500cc78e721016a57e1",
+        "db558457f2bbacec8e1bc27e25db0689e56473ac3fc8b11171af41f8d3e9c221",
+        "e4833dea0b21619fd66b93093e20fc55ef95e6e7fc2bf35dbbee370d7e3c532b"),
+}
+# sha256 of the pow probe's bytes on numpy's AVX-512 path
+AVX512_POW_PROBE = (
+    "938661f4da9b729c378381de4973da31d1261e73913b72da051c00d34a65198a")
+
+
+def golden_experiments():
+    """The digest set of the pow numpy takes here: libm's when np.power
+    equals math.pow on a fixed array, else the AVX-512 one if the probe
+    matches it. Any other path fails, naming its probe."""
+    x = np.linspace(0.5, 2.0, 1001)
+    probe = np.power(x, 2.5)
+    if probe.tolist() == [math.pow(v, 2.5) for v in x.tolist()]:
+        return GOLDEN_EXPERIMENTS_LIBM_POW
+    digest = hashlib.sha256(probe.tobytes()).hexdigest()
+    if digest != AVX512_POW_PROBE:
+        pytest.fail(f"numpy's pow takes a path with no pinned digests: "
+                    f"np.power(linspace(0.5, 2, 1001), 2.5) has sha256 "
+                    f"{digest}, neither math.pow's nor AVX-512's")
+    return GOLDEN_EXPERIMENTS
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENTS))
 def test_experiment_on_a_shipped_config_matches_the_golden_hashes(
         tmp_path, capsys, name):
+    golden = golden_experiments()[name]
     config = resources.files("frontlab") / "configs" / f"{name}.json"
     exp, ana = tmp_path / "exp", tmp_path / "ana"
     assert main(["experiment", "--config", str(config),
@@ -933,7 +1053,7 @@ def test_experiment_on_a_shipped_config_matches_the_golden_hashes(
     def sha256(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    assert sha256(exp / "trajectory.csv") == GOLDEN_EXPERIMENTS[name][0]
+    assert sha256(exp / "trajectory.csv") == golden[0]
     for out in (exp, ana):
         digests = tuple(sha256(out / f) for f in ("report.json", "trace.csv"))
-        assert digests == GOLDEN_EXPERIMENTS[name][1:], out.name
+        assert digests == golden[1:], out.name
