@@ -266,28 +266,29 @@ def test_infeasible_selection_exits_4(tmp_path):
 
 
 # closed-form constructions whose arithmetic leaves the float range, each
-# refused with the quantity named; each once raised a bare OverflowError or
-# ZeroDivisionError, or warned of an overflow (an error under pytest and CI)
+# an InfeasibleSelection naming the quantity; each once raised a bare
+# OverflowError or ZeroDivisionError, or warned of an overflow (an error
+# under pytest and CI)
 FLOAT_RANGE_CONSTRUCTS = [
-    ("const-super --m 2 --alpha 1 --beta 1026", 4, "z1 = (K/s0)^(beta-1)"),
-    ("pme-bump --m 1.001 --alpha 0.001 --beta 1", 4,
+    ("const-super --m 2 --alpha 1 --beta 1026", "z1 = (K/s0)^(beta-1)"),
+    ("pme-bump --m 1.001 --alpha 0.001 --beta 1",
      "abscissa (C/(0.45 cut))^(1/alpha)"),
-    ("fde-sub --m 0.05 --alpha 0.001 --beta 1", 4, "level curve"),
-    ("fde-sub --m 0.999 --alpha 100 --beta 1", 4, "A at kappa"),
+    ("fde-sub --m 0.05 --alpha 0.001 --beta 1", "level curve"),
+    ("fde-sub --m 0.999 --alpha 100 --beta 1", "A at kappa"),
     ("growth-super --m 0.05 --alpha 0.001 --beta 1 --C 1000 --C-bar 1000 "
-     "--s0 0.99 --x0 1e6", 4, "tail onset C^(1/a)"),
-    ("growth-super --m 0.05 --alpha 0.001 --beta 1.0001", 4, "level curve"),
+     "--s0 0.99 --x0 1e6", "tail onset C^(1/a)"),
+    ("growth-super --m 0.05 --alpha 0.001 --beta 1.0001", "level curve"),
 ]
 
 
-@pytest.mark.parametrize("flags,code,quantity", FLOAT_RANGE_CONSTRUCTS,
+@pytest.mark.parametrize("flags,quantity", FLOAT_RANGE_CONSTRUCTS,
                          ids=["const-super-z1", "pme-bump-abscissa",
                               "fde-sub-level-curve", "fde-sub-A",
                               "growth-super-onset",
                               "growth-super-level-curve"])
 def test_a_construction_past_the_float_range_is_refused_by_name(
-        capsys, flags, code, quantity):
-    assert main(["construct", "--kind", *flags.split()]) == code
+        capsys, flags, quantity):
+    assert main(["construct", "--kind", *flags.split()]) == 4
     err = capsys.readouterr().err
     assert err.startswith("frontlab: ") and quantity in err
     assert "out of float range" in err
