@@ -19,11 +19,14 @@ binary64 bits, so analyze reads back exactly what experiment computed.
 Each file is streamed chunk by chunk (one CSV row at a time) into a temp
 file beside its target, created with the mode open() would give it (0666
 less the umask), and renamed over it after the last chunk, so a reader
-never sees a partial artifact and memory is bounded by one row. Each
-command also writes a run manifest: the subcommand, the input config and
-the sha256 of its canonical JSON, the output paths and the wall-clock
-time. It holds no hash of the outputs, so it records what ran, not which
-bytes came out.
+never sees a partial artifact and memory is bounded by one row.
+Every command ends the same way, in main: its files, then, if it wrote
+any, <command>_manifest.json (the subcommand, the input config and the
+sha256 of its canonical JSON, the output paths and the wall-clock time;
+no hash of the outputs, so it records what ran, not which bytes came out),
+then one JSON document on stdout. A refused command prints only its
+"frontlab:" line. experiment builds the bounds its level set is held to
+before it simulates, so a run they refuse makes no trajectory.
 
 Exit codes: 0 ok, 2 a usage error (from argparse); otherwise the exit_code
 of the FrontlabError raised, after a "frontlab: <message>" line on stderr:
@@ -34,6 +37,7 @@ InfeasibleSelection, 3 for every other class (a numerical failure).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -53,20 +57,17 @@ from .errors import DomainError, FrontlabError
 from .model import (Grid, ModelParams, bundle_from_dict, config_keys,
                     config_number, config_section, default_reaction,
                     field_build, params_to_dict, read_config)
-from .regimes import (KINDS, NUMBER_FIELD, Regime, classify, classify_row,
-                      envelopes)
+from .regimes import (KINDS, NUMBER_FIELD, Regime, certified_floor, classify,
+                      classify_row, envelopes)
 from .solver import (SolutionTrajectory, SolverConfig, discrete_residual,
                      simulate)
 
 __all__ = ["main"]
 
 
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _sha256(doc: dict) -> str:
-    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _run_sha256(doc: dict) -> str:
@@ -115,15 +116,6 @@ def _write_json(path: Path, doc: dict) -> None:
     _atomic_write(path, [_dump_json(doc, compact=False) + "\n"])
 
 
-def _emit_manifest(args, config_doc: dict, outputs, t0: float) -> None:
-    """Write what ran, on what input, producing which files, in how long."""
-    man = {"subcommand": args.command, "config": config_doc,
-           "outputs": [str(p) for p in outputs],
-           "wall_clock_s": time.perf_counter() - t0,
-           "input_sha256": _sha256(config_doc)}
-    _write_json(Path(args.out) / f"{args.command}_manifest.json", man)
-
-
 def _params_from_args(args) -> ModelParams:
     return ModelParams(m=args.m, alpha=args.alpha, beta=args.beta, r=args.r,
                        r_bar=args.r_bar, C=args.C, C_bar=args.C_bar,
@@ -151,7 +143,7 @@ def _add_io_flags(sp, out: Optional[Path], config: bool = False,
     sp.add_argument("--out", type=Path, default=out,
                     help="output directory for artifacts")
     if as_json:
-        sp.add_argument("--json", dest="as_json", action="store_true",
+        sp.add_argument("--json", dest="compact", action="store_true",
                         help="compact single-line JSON on stdout")
 
 
@@ -276,19 +268,15 @@ def _run_config(doc: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its stdout document, its manifest config (None
+# for a command that writes no files) and the paths it wrote; main writes
+# the manifest and prints the document
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     kind = classify(args.m, args.alpha, args.beta)
-    doc = {"regime": kind.regime.value}
-    if kind.gamma is not None:
-        doc["gamma"] = kind.gamma
-    if kind.exponent is not None:
-        doc["exponent"] = kind.exponent
-    if kind.label is not None:
-        doc["label"] = kind.label
-    print(_dump_json(doc, compact=True))
-    return 0
+    doc = {k: v for k, v in dataclasses.asdict(kind).items() if v is not None}
+    doc["regime"] = kind.regime.value
+    return doc, None, []
 
 
 # the kinds built from (params, epsilon) as given
@@ -299,8 +287,7 @@ _CONSTRUCTORS = {"pme-bump": closedform.pme_bump_params,
 _CONSTRUCT_KINDS = (*_CONSTRUCTORS, "const-super", "right-tail")
 
 
-def _cmd_construct(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_construct(args):
     params = _params_from_args(args)
     eps = args.epsilon
     if not 0.0 < eps < 1.0:
@@ -323,14 +310,12 @@ def _cmd_construct(args) -> int:
     doc["residual"] = {"max": rep.max_residual, "min": rep.min_residual,
                        "mean": rep.mean_residual, "tolerance": rep.tolerance,
                        "n": rep.n, "sign_ok": sign_ok}
-    print(_dump_json(doc, compact=args.as_json))
+    outputs = []
     if args.out is not None:
-        out = Path(args.out) / f"construct_{args.kind}.json"
-        _write_json(out, doc)
-        _emit_manifest(args, {"kind": args.kind,
-                              "params": params_to_dict(params),
-                              "epsilon": eps}, [out], t0)
-    return 0
+        outputs.append(Path(args.out) / f"construct_{args.kind}.json")
+        _write_json(outputs[0], doc)
+    return doc, {"kind": args.kind, "params": params_to_dict(params),
+                 "epsilon": eps}, outputs
 
 
 def _shoot_setup(args):
@@ -345,95 +330,90 @@ def _shoot_setup(args):
     return params, g
 
 
-def _cmd_shoot(args) -> int:
+def _cmd_shoot(args):
     _, g = _shoot_setup(args)
     res = waves.shoot(args.c, args.delta, g, args.y_max)
-    doc = {"outcome": res.outcome, "c": res.c, "delta": res.delta,
-           "y_c": res.y_c, "terminal_slope": res.terminal_slope}
-    print(_dump_json(doc, compact=True))
-    return 0
+    return {"outcome": res.outcome, "c": res.c, "delta": res.delta,
+            "y_c": res.y_c, "terminal_slope": res.terminal_slope}, None, []
 
 
-def _cmd_wave(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_wave(args):
     params, g = _shoot_setup(args)
     res = waves.shoot(args.c, args.delta, g, args.y_max)
     prof = waves.engler_transform(res, params.m)
+    outputs = []
     if args.out is not None:
-        path = Path(args.out) / "wave_profile.csv"
-        _write_csv(path, ("x", "U"), zip(prof.x, prof.U))
-        _emit_manifest(args, {"m": params.m, "beta": params.beta,
-                              "r": params.r, "c": args.c,
-                              "delta": args.delta,
-                              "truncate": args.truncate,
-                              "y_max": args.y_max}, [path], t0)
-    doc = {"c": prof.c, "x_c": prof.x_c, "n": int(prof.x.size),
-           "outcome": res.outcome}
-    print(_dump_json(doc, compact=True))
-    return 0
+        outputs.append(Path(args.out) / "wave_profile.csv")
+        _write_csv(outputs[0], ("x", "U"), zip(prof.x, prof.U))
+    return ({"c": prof.c, "x_c": prof.x_c, "n": int(prof.x.size),
+             "outcome": res.outcome},
+            {"m": params.m, "beta": params.beta, "r": params.r, "c": args.c,
+             "delta": args.delta, "truncate": args.truncate,
+             "y_max": args.y_max}, outputs)
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(args):
     doc = read_config(args.config)
     bundle, cfg, _, _ = _run_config(doc)
     traj = simulate(bundle.data, bundle.grid, cfg, bundle.params)
     path = Path(args.out) / "trajectory.csv"
     write_trajectory_csv(path, traj, _run_sha256(doc))
-    _emit_manifest(args, doc, [path], t0)
-    print(_dump_json({"snapshots": len(traj.times),
-                      "nodes": int(traj.grid.x.size),
-                      "steps": int(traj.dt_history.size),
-                      "max_residual": traj.max_residual,
-                      "trajectory": str(path)}, compact=True))
-    return 0
+    return ({"snapshots": len(traj.times), "nodes": int(traj.grid.x.size),
+             "steps": int(traj.dt_history.size),
+             "max_residual": traj.max_residual, "trajectory": str(path)},
+            doc, [path])
 
 
-def _linear_report(params: ModelParams,
-                   trace: analysis.LevelSetTrace) -> dict:
-    c_up = closedform.constant_speed_super(params).constants["c"]
-    g = waves.g_fn(params.m, default_reaction(params))
-    cert = waves.find_compact_support_speed(g, 0.5)
-    half = trace.t >= 0.5 * (trace.t[0] + trace.t[-1])
-    speeds = trace.x[half] / trace.t[half]
-    return {"speed_max": float(speeds.max()),
-            "speed_min": float(speeds.min()),
-            "c_upper": c_up, "c0_floor": cert.c0,
-            "pass": bool(speeds.max() <= c_up and speeds.min() >= cert.c0)}
-
-
-def _analyze_traj(traj: SolutionTrajectory, params: ModelParams,
-                  level: float, eps: Optional[float], out_dir: Path,
-                  compact: bool):
-    # the kind's number (regimes.NUMBER_FIELD) names the law to fit; every
-    # regime with envelopes, whether a pair or a floor, gets its sandwich
+def _held_to(params: ModelParams, eps: Optional[float]) -> tuple:
+    """(kind, bounds): the regime of ``params`` and what its level set is
+    held to, from the parameters alone: the envelopes, NoAcceleration's
+    (c_upper, c0_floor) linear-speed bracket, or None on a Boundary."""
     kind = classify(params.m, params.alpha, params.beta)
+    if kind.regime is Regime.BOUNDARY:
+        return kind, None
+    if kind.regime is Regime.NO_ACCELERATION:
+        return kind, (closedform.constant_speed_super(params).constants["c"],
+                      certified_floor(params))
+    return kind, envelopes(params, eps)
+
+
+def _analyze_traj(traj: SolutionTrajectory, params: ModelParams, held,
+                  level: float, out_dir: Path) -> tuple:
+    """Track the level set, fit it, check it against the bounds ``held``
+    from `_held_to`, and write trace.csv and report.json; returns the
+    report and the two paths."""
+    kind, bounds = held
     trace = analysis.track_level(traj, level)
+    # the kind's number (regimes.NUMBER_FIELD) names the law to fit
     fit = sandwich = None
-    extra = {}
     if kind.gamma is not None:
         fit = analysis.fit_exponential_rate(
             trace, reference=params.r * kind.gamma)
     elif kind.exponent is not None:
         fit = analysis.fit_polynomial_exponent(trace, reference=kind.exponent)
+    extra = {"regime": kind.regime.value}
     if kind.regime is Regime.NO_ACCELERATION:
-        extra["linear"] = _linear_report(params, trace)
-    elif kind.regime is not Regime.BOUNDARY:
-        sandwich = analysis.sandwich_check(trace, envelopes(params, eps))
+        c_up, c0 = bounds
+        half = trace.t >= 0.5 * (trace.t[0] + trace.t[-1])
+        speeds = trace.x[half] / trace.t[half]
+        extra["linear"] = {
+            "speed_max": float(speeds.max()),
+            "speed_min": float(speeds.min()),
+            "c_upper": c_up, "c0_floor": c0,
+            "pass": bool(speeds.max() <= c_up and speeds.min() >= c0)}
+    elif bounds is not None:
+        sandwich = analysis.sandwich_check(trace, bounds)
     report = analysis.report_json(trace, fit, sandwich)
-    report["regime"] = kind.regime.value
     report.update(extra)
 
     trace_path = out_dir / "trace.csv"
     _write_csv(trace_path, ("t", "x_lambda"), zip(trace.t, trace.x))
     report_path = out_dir / "report.json"
     _write_json(report_path, report)
-    print(_dump_json(report, compact=compact))
-    return [trace_path, report_path]
+    return report, [trace_path, report_path]
 
 
-def _cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_analyze(args):
     doc = read_config(args.config)
     bundle, _, level, eps = _run_config(doc)
     traj, run = read_trajectory_csv(args.traj)
@@ -450,25 +430,23 @@ def _cmd_analyze(args) -> int:
     if run != want:
         raise DomainError(f"trajectory was run under config sha256 {run}, "
                           f"not this config's {want}")
-    outputs = _analyze_traj(traj, bundle.params, level, eps, Path(args.out),
-                            args.as_json)
-    _emit_manifest(args, doc, outputs, t0)
-    return 0
+    held = _held_to(bundle.params, eps)
+    report, outputs = _analyze_traj(traj, bundle.params, held, level,
+                                    Path(args.out))
+    return report, doc, outputs
 
 
-def _cmd_experiment(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_experiment(args):
     doc = read_config(args.config)
     bundle, cfg, level, eps = _run_config(doc)
+    # bounds first, so a run they refuse makes no trajectory
+    held = _held_to(bundle.params, eps)
     traj = simulate(bundle.data, bundle.grid, cfg, bundle.params)
-    out_dir = Path(args.out)
-    traj_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(traj_path, traj, _run_sha256(doc))
-    outputs = [traj_path]
-    outputs.extend(_analyze_traj(traj, bundle.params, level, eps, out_dir,
-                                 args.as_json))
-    _emit_manifest(args, doc, outputs, t0)
-    return 0
+    path = Path(args.out) / "trajectory.csv"
+    write_trajectory_csv(path, traj, _run_sha256(doc))
+    report, outputs = _analyze_traj(traj, bundle.params, held, level,
+                                    path.parent)
+    return report, doc, [path, *outputs]
 
 
 def _sweep_tails() -> list:
@@ -505,22 +483,18 @@ def _sweep_lines(m: float, alphas: list, betas: np.ndarray):
             for b_text, c, v in zip(b_texts, codes.tolist(), values.tolist()))
 
 
-def _cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_sweep(args):
     if min(args.alpha_steps, args.beta_steps) < 0:
         raise DomainError("--alpha-steps and --beta-steps must be >= 0")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     path = Path(args.out) / "sweep.csv"
     _atomic_write(path, _sweep_lines(args.m, alphas.tolist(), betas))
-    _emit_manifest(args, {"m": args.m,
-                          "alpha": [args.alpha_min, args.alpha_max,
-                                    args.alpha_steps],
-                          "beta": [args.beta_min, args.beta_max,
-                                   args.beta_steps]}, [path], t0)
-    print(_dump_json({"rows": alphas.size * betas.size, "sweep": str(path)},
-                     compact=True))
-    return 0
+    return ({"rows": alphas.size * betas.size, "sweep": str(path)},
+            {"m": args.m,
+             "alpha": [args.alpha_min, args.alpha_max, args.alpha_steps],
+             "beta": [args.beta_min, args.beta_max, args.beta_steps]},
+            [path])
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify",
                         help="locate (m, alpha, beta) in the phase diagram")
     _add_param_flags(sp, constants=False)
-    sp.set_defaults(func=_cmd_classify)
+    sp.set_defaults(func=_cmd_classify, compact=True)
 
     # construct and wave write files only when given --out; simulate,
     # analyze, experiment and sweep write into the working directory by
@@ -560,12 +534,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--r", type=float, default=1.0)
         if name == "wave":
             _add_io_flags(sp, None)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=fn, compact=True)
 
     sp = sub.add_parser("simulate",
                         help="run the PDE and write the trajectory CSV")
     _add_io_flags(sp, Path("."), config=True)
-    sp.set_defaults(func=_cmd_simulate)
+    sp.set_defaults(func=_cmd_simulate, compact=True)
 
     sp = sub.add_parser("analyze",
                         help="track a level set in a saved trajectory")
@@ -588,18 +562,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta-max", type=float, required=True)
     sp.add_argument("--beta-steps", type=int, required=True)
     _add_io_flags(sp, Path("."))
-    sp.set_defaults(func=_cmd_sweep)
+    sp.set_defaults(func=_cmd_sweep, compact=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        doc, config_doc, outputs = args.func(args)
+        if outputs:
+            # what ran, on what input, producing which files, in how long
+            _write_json(Path(args.out) / f"{args.command}_manifest.json",
+                        {"subcommand": args.command, "config": config_doc,
+                         "outputs": [str(p) for p in outputs],
+                         "wall_clock_s": time.perf_counter() - t0,
+                         "input_sha256": _sha256(config_doc)})
     except FrontlabError as exc:
         print(f"frontlab: {exc}", file=sys.stderr)
         return exc.exit_code
+    print(_dump_json(doc, compact=args.compact))
+    return 0
 
 
 if __name__ == "__main__":

@@ -192,6 +192,14 @@ class Envelope:
     T: float
 
 
+def certified_floor(params: ModelParams) -> float:
+    """c0, the speed of the compact-support wave that the search certifies
+    for the reaction of ``params`` at delta 0.5: the linear floor of a level
+    set in the infinite-speed and no-acceleration regimes."""
+    g = waves.g_fn(params.m, default_reaction(params))
+    return waves.find_compact_support_speed(g, 0.5).c0
+
+
 def envelopes(params: ModelParams,
               epsilon: Optional[float] = None) -> Envelope:
     """Build x-(t), x+(t) for the classified regime of ``params``.
@@ -223,8 +231,7 @@ def envelopes(params: ModelParams,
             T=1.0)
     if kind.regime is Regime.INFINITE_SPEED:
         # no localization, only the linear floor
-        g = waves.g_fn(m, default_reaction(params))
-        c0 = waves.find_compact_support_speed(g, 0.5).c0
+        c0 = certified_floor(params)
         return Envelope(lower=lambda t: c0 * np.asarray(t, dtype=float),
                         upper=None, T=1.0)
 

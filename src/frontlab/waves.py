@@ -166,11 +166,14 @@ def engler_transform(result: ShootResult, m: float) -> WaveProfile:
     For m < 1 the integrand blows up at y_c like (y_c - y)^(m-1); the last
     sliver is closed analytically with V ~ |V'(y_c)|(y_c - y), and the rest
     is integrated adaptively against a Hermite interpolant of the shot.
+    An m <= 0 is a DomainError, as in g_fn; a shot of another outcome is a
+    TransformError.
     """
     if not m > 0.0:
-        raise TransformError("m must be positive")
+        raise DomainError("m must be positive")
     if result.outcome != CASE_III:
-        raise DomainError("the mass-coordinate transform needs a case-iii shot")
+        raise TransformError("the mass-coordinate transform needs a case-iii "
+                             "shot")
     y_c = float(result.y_c)
     slope = abs(float(result.terminal_slope))
     spline = CubicHermiteSpline(result.y, result.V, result.Vp)

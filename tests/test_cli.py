@@ -152,6 +152,77 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command,
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
+# --- one ending for every command -----------------------------------------------
+
+# per command, a call that succeeds, and one that is refused with its exit
+# code; CFG stands for a config, TRAJ for its trajectory, BAD for a config
+# that is not a JSON object and OUT for an output directory; of a repeated
+# flag the last value counts
+_ENDINGS = {
+    "classify": (_BASE_ARGV["classify"],
+                 ["classify", "--m", "-1", "--alpha", "2", "--beta", "2"], 2),
+    "construct": (_BASE_ARGV["construct"] + ["--out", "OUT"],
+                  _BASE_ARGV["construct"] + ["--out", "OUT",
+                                             "--epsilon", "1.5"], 2),
+    "shoot": (_BASE_ARGV["shoot"],
+              ["shoot", "--c", "-1", "--m", "0.5", "--beta", "1"], 2),
+    "wave": (_BASE_ARGV["wave"] + ["--out", "OUT"],
+             ["wave", "--c", "3", "--m", "1", "--beta", "1", "--out", "OUT"],
+             3),
+    "simulate": (_BASE_ARGV["simulate"],
+                 ["simulate", "--config", "BAD", "--out", "OUT"], 2),
+    "analyze": (_BASE_ARGV["analyze"],
+                ["analyze", "--config", "CFG", "--traj", "CFG", "--out",
+                 "OUT"], 2),
+    "experiment": (["experiment", "--config", "CFG", "--out", "OUT"],
+                   ["experiment", "--config", "BAD", "--out", "OUT"], 2),
+    "sweep": (_BASE_ARGV["sweep"],
+              _BASE_ARGV["sweep"] + ["--alpha-steps", "-1"], 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ENDINGS))
+def test_every_command_ends_with_its_files_a_manifest_and_one_document(
+        tmp_path, capsys, monkeypatch, command):
+    ok_argv, refused_argv, code = _ENDINGS[command]
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    out = tmp_path / "out"
+    where = {"CFG": str(tiny_config(tmp_path)), "BAD": str(bad),
+             "OUT": str(out), "TRAJ": str(tmp_path / "run" / "trajectory.csv")}
+    if "TRAJ" in ok_argv:
+        assert main(["simulate", "--config", where["CFG"],
+                     "--out", str(tmp_path / "run")]) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+
+    # a refused command prints only its frontlab: line and writes nothing
+    assert main([where.get(a, a) for a in refused_argv]) == code
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert re.fullmatch(r"frontlab: [^\n]*\n", stderr)
+    assert not out.exists()
+
+    # one that succeeds prints exactly one JSON document
+    assert main([where.get(a, a) for a in ok_argv]) == 0
+    stdout, stderr = capsys.readouterr()
+    doc, end = json.JSONDecoder().raw_decode(stdout)
+    assert isinstance(doc, dict)
+    assert stdout[end:] == "\n"
+    assert stderr == ""
+    assert list(cwd.iterdir()) == []
+    if "OUT" not in ok_argv:
+        assert not out.exists()
+        return
+    # and its manifest lists exactly the files it wrote
+    manifest = out / f"{command}_manifest.json"
+    outputs = json.loads(manifest.read_text())["outputs"]
+    written = [str(p) for p in out.iterdir() if p != manifest]
+    assert sorted(outputs) == sorted(written)
+
+
 # --- exit code mapping -----------------------------------------------------------
 
 def test_domain_errors_exit_2(tmp_path, capsys):
@@ -173,6 +244,13 @@ def test_numerical_failure_exits_3():
     # g ~ s^2.25 decays too slowly for the origin event inside the default
     # integration window
     assert main(["shoot", "--c", "10", "--m", "2", "--beta", "1.25"]) == 3
+
+
+def test_wave_at_a_speed_with_no_case_iii_shot_exits_3(capsys):
+    # at c = 3 the m = 1 shot never reaches V = 0, so there is no profile to
+    # transform: the transform does not apply to the outcome
+    assert main(["wave", "--c", "3", "--m", "1", "--beta", "1"]) == 3
+    assert "needs a case-iii shot" in capsys.readouterr().err
 
 
 def test_a_zero_node_under_fast_diffusion_exits_0(tmp_path):
@@ -899,6 +977,27 @@ def test_experiment_is_deterministic(tmp_path, capsys):
     for name in ("trajectory.csv", "trace.csv", "report.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     assert len(m1["outputs"]) == 3
+
+
+@pytest.mark.parametrize("change,code,message", [
+    # no acceleration: the constant-speed supersolution overflows
+    ({"alpha": 1.0, "beta": 1026.0, "C": 1.0, "C_bar": 1.0, "x0": 2.0}, 4,
+     "z1 = (K/s0)^(beta-1)"),
+    # polynomial: the envelopes need 0 < epsilon < r
+    ({"experiment": {"level": 0.5, "epsilon": 1.5}}, 2, "epsilon"),
+], ids=["noacc-beta-1026", "epsilon-1.5"])
+def test_experiment_refuses_bounds_it_cannot_build_before_simulating(
+        tmp_path, capsys, change, code, message):
+    path = tiny_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc.update(change)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path),
+                 "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    # no trajectory.csv, no manifest: nothing at all
+    assert not out.exists()
 
 
 def test_experiment_report_carries_the_envelope_verdict(tmp_path):

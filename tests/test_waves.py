@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from frontlab.cli import main
-from frontlab.errors import DomainError, NonTermination
+from frontlab.errors import DomainError, NonTermination, TransformError
 from frontlab.model import ModelParams, default_reaction
 from frontlab.waves import (
     ATOL,
@@ -288,14 +288,13 @@ def test_transform_matches_closed_form_for_linear_profile():
 
 def test_transform_requires_case_iii():
     res = shoot(10.0, 0.5, g_fn(2.0, f_logistic), y_max=1e10)
-    with pytest.raises(DomainError):
+    with pytest.raises(TransformError):
         engler_transform(res, 2.0)
 
 
 def test_transform_rejects_nonpositive_m():
     res = shoot(1.0, 0.5, g_fn(0.5, f_logistic))
-    from frontlab.errors import TransformError
-    with pytest.raises(TransformError):
+    with pytest.raises(DomainError):
         engler_transform(res, 0.0)
 
 
