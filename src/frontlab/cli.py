@@ -263,8 +263,12 @@ def _run_config(doc: dict):
     )
     exp = config_section(doc, "experiment") if "experiment" in doc else {}
     config_keys(exp, ("level", "epsilon"), "experiment")
-    return (bundle, cfg, config_number(exp, "level", 0.5, where="experiment"),
-            config_number(exp, "epsilon", None, where="experiment"))
+    level = config_number(exp, "level", 0.5, where="experiment")
+    eps = config_number(exp, "epsilon", None, where="experiment")
+    # for every regime: only those with envelopes would check it later
+    if eps is not None and not 0.0 < eps < bundle.params.r:
+        raise DomainError("need 0 < epsilon < r")
+    return bundle, cfg, level, eps
 
 
 # ---------------------------------------------------------------------------

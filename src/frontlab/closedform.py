@@ -840,9 +840,12 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
 # right-tail decay supersolution (pure diffusion)
 
 def _right_tail_positivity(eps: float, mu: float, m: float) -> float:
+    # min over [eps, 1) of the factor; a term past the float range makes it
+    # -inf or NaN, with no warning, and so fails every lower bound
     w = np.linspace(eps, 1.0, 4096, endpoint=False)
-    h = (1.0 - mu * m * w ** (m - 1.0)
-         - mu * m * (m - 1.0) * (w - eps) * w ** (m - 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (1.0 - mu * m * w ** (m - 1.0)
+             - mu * m * (m - 1.0) * (w - eps) * w ** (m - 2.0))
     return float(h.min())
 
 
@@ -852,9 +855,21 @@ def right_tail_spec(params: ModelParams, eps: float = 0.1) -> SubsolutionSpec:
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0,1)")
-    mu = _shrink_until(lambda v: _right_tail_positivity(eps, v, m) >= 1e-9,
-                       start=1.0, label="the right-tail positivity condition")
-    margin = _right_tail_positivity(eps, mu, m)
+    margins = []
+
+    def positive(v):
+        margins.append(_right_tail_positivity(eps, v, m))
+        return margins[-1] >= 1e-9
+
+    try:
+        mu = _shrink_until(positive, start=1.0,
+                           label="the right-tail positivity condition")
+    except InfeasibleSelection:
+        # named for the float range when even the smallest mu left it
+        _in_range("right-tail supersolution: the positivity factor at the "
+                  "smallest mu tried", lambda: margins[-1])
+        raise
+    margin = margins[-1]
     checks = _enforce("right-tail supersolution", (
         Check("eps in (0,1)", min(eps, 1.0 - eps), strict=True),
         Check("positivity factor on [eps, 1)", margin),

@@ -20,6 +20,10 @@ the system with one LAPACK ``dptsv`` call (L D L^T, no pivoting). Bare
 arrays pass from step to step; a Field is built at each snapshot. ``step``
 is a one-shot use of the same stepper.
 
+``dptsv`` is a module global, None until the first ``_solver`` call binds it
+from ``scipy.linalg.lapack``. So importing this module loads no SciPy, and
+only a command that steps loads LAPACK.
+
 The floor is 1e-12 for m >= 1 and 1e-300 for m < 1, where the diffusivity
 (at most 1e300) follows the true one down the tail the rate sees. At a zero
 node it is finite, and positive unless m is past about 28 (underflow).
@@ -41,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .closedform import edge_clamp
 from .errors import DomainError, DomainExhausted, StabilityFailure
@@ -59,6 +62,9 @@ _TIME_TOL = 1e-12
 _FLOOR, _FAST_FLOOR = 1e-12, 1e-300
 # every step runs under this; its explicit checks refuse what it silences
 _QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
+# scipy.linalg.lapack.dptsv once the first _solver call binds it; a module
+# global, not a local import, so that a test can patch it
+dptsv = None
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,9 @@ def _solver(op: tuple, dt: float) -> Callable:
     The dt-only parts and the buffer are taken once. Solves run under
     np.errstate(**_QUIET); the scans turn an overflow into StabilityFailure.
     """
+    global dptsv
+    if dptsv is None:
+        from scipy.linalg.lapack import dptsv
     inv_h, w, inv_sum = op
     # an overflow is reported below as a typed failure, not a warning
     with np.errstate(over="ignore"):
@@ -288,7 +297,8 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     when t_end does. Each interval g between snapshots takes ceil(g/dt)
     equal steps (a whole number of dt up to rounding counts as whole). The
     grid must still extend 25% beyond the upper front position that the
-    envelope, if the regime has one, predicts at the last snapshot. Raises
+    envelope, if the regime has one, predicts at the last snapshot; a
+    prediction past the float range is a DomainError. Raises
     DomainExhausted the moment the 0.5-level set comes within 10 cells of
     the right edge.
     """
@@ -304,7 +314,13 @@ def simulate(u0, grid: Grid, config: SolverConfig,
     if config.reaction_on:
         kind = classify(params.m, params.alpha, params.beta)
         if kind.regime in UPPER_REGIMES:
-            x_need = 1.25 * float(envelopes(params).upper(schedule[-1]))
+            # past the float range the envelope is inf, refused by name
+            with np.errstate(over="ignore"):
+                x_need = 1.25 * float(envelopes(params).upper(schedule[-1]))
+            if not math.isfinite(x_need):
+                raise DomainError(
+                    f"the predicted front position at t={schedule[-1]:g} "
+                    "is out of float range")
             if grid.x[-1] < x_need:
                 raise DomainError(
                     f"grid right edge {grid.x[-1]:.4g} is below 1.25x "

@@ -6,6 +6,12 @@ detection at fixed tolerances (module constants); a caller sets only
 the window y_max. A case-iii trajectory (V hits zero with strictly
 negative slope) is mapped back to a compactly supported profile through
 the mass-coordinate change x = int m V^(m-1).
+
+SciPy is imported where it runs, not at the top of the module: ``shoot``
+binds ``scipy.integrate.solve_ivp`` in its body, and ``engler_transform``
+binds it and ``scipy.interpolate.CubicHermiteSpline`` in its own. So
+importing this module, or ``regimes`` through it, loads no SciPy, and a
+run that shoots but builds no profile never loads ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (DomainError, NonTermination, SearchExhausted,
                      TransformError)
@@ -141,6 +145,7 @@ def shoot(c: float, delta: float, g: Callable,
     # explicit steps at ~1/c forever). LSODA switches from Adams to BDF
     # when it detects that, and takes each step, Newton solves included, in
     # compiled ODEPACK code (Radau runs its Newton iterations in Python).
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (0.0, y_max), [delta, 0.0], method="LSODA",
                     rtol=RTOL, atol=ATOL,
                     dense_output=True, events=[ev_cross, ev_origin])
@@ -174,6 +179,8 @@ def engler_transform(result: ShootResult, m: float) -> WaveProfile:
     if result.outcome != CASE_III:
         raise TransformError("the mass-coordinate transform needs a case-iii "
                              "shot")
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicHermiteSpline
     y_c = float(result.y_c)
     slope = abs(float(result.terminal_slope))
     spline = CubicHermiteSpline(result.y, result.V, result.Vp)

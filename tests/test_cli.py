@@ -283,6 +283,24 @@ def test_an_edge_value_out_of_float_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_front_envelope_past_the_float_range_exits_2(tmp_path, capsys):
+    # exp(hi_rate t) at alpha 1e-9 overflows by t = 40; the grid-edge check
+    # names the float range instead of leaking numpy's overflow warning
+    doc = json.loads((resources.files("frontlab") / "configs"
+                      / "noacc.json").read_text())
+    doc.update(m=1.0, alpha=1e-9, beta=2.0)
+    doc["grid"] = {"kind": "uniform", "x_left": -10.0, "x_right": 1e6,
+                   "n": 200}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("frontlab: ") and "out of float range" in err
+    assert not out.exists()
+
+
 def test_a_tail_onset_out_of_float_range_exits_2(tmp_path, capsys):
     # 10^400 is past the float range, so the datum's onset C/x0^alpha is
     # refused instead of raising a bare OverflowError
@@ -369,6 +387,16 @@ def test_a_construction_past_the_float_range_is_refused_by_name(
     assert main(["construct", "--kind", *flags.split()]) == 4
     err = capsys.readouterr().err
     assert err.startswith("frontlab: ") and quantity in err
+    assert "out of float range" in err
+
+
+def test_a_right_tail_factor_past_the_float_range_is_refused_by_name(capsys):
+    # m (m-1) overflows at every mu the search tries; the factor's NaN once
+    # leaked as a numpy warning (an error under pytest and CI)
+    assert main(["construct", "--kind", "right-tail", "--m", "1e300",
+                 "--alpha", "300", "--beta", "1", "--epsilon", "1e-9"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("frontlab: ") and "positivity factor" in err
     assert "out of float range" in err
 
 
@@ -1000,6 +1028,23 @@ def test_experiment_refuses_bounds_it_cannot_build_before_simulating(
     assert not out.exists()
 
 
+def test_an_epsilon_outside_0_r_is_refused_in_every_regime(tmp_path, capsys):
+    # noacc has no envelopes, so nothing read its epsilon before _run_config
+    # checked it for every regime
+    doc = json.loads((resources.files("frontlab") / "configs"
+                      / "noacc.json").read_text())
+    doc["experiment"]["epsilon"] = 1.5
+    doc["solver"]["t_end"] = 4.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert "need 0 < epsilon < r" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "experiment_manifest.json").exists()
+
+
 def test_experiment_report_carries_the_envelope_verdict(tmp_path):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "exp"
@@ -1157,3 +1202,48 @@ def test_experiment_on_a_shipped_config_matches_the_golden_hashes(
     for out in (exp, ana):
         digests = tuple(sha256(out / f) for f in ("report.json", "trace.csv"))
         assert digests == golden[1:], out.name
+
+
+# --- start-up ------------------------------------------------------------------------
+
+# each SciPy module a command may load, bound where it runs; see the waves
+# and solver docstrings
+_SCIPY_PARTS = ("scipy.integrate", "scipy.interpolate", "scipy.linalg")
+
+
+def scipy_loaded(code, cwd):
+    """The SciPy modules loaded after running ``code`` in a fresh
+    interpreter, as a sorted list of names."""
+    src = Path(frontlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, cwd=cwd, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert scipy_loaded("import frontlab.cli", tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    _BASE_ARGV["classify"],
+    ["construct", "--kind", "growth-super", "--m", "2", "--alpha", "2",
+     "--beta", "1.25"],
+    ["sweep", "--m", "2", "--alpha-min", "0.5", "--alpha-max", "3",
+     "--alpha-steps", "3", "--beta-min", "1", "--beta-max", "2",
+     "--beta-steps", "3", "--out", "sweep"],
+], ids=["classify", "construct", "sweep"])
+def test_the_quick_commands_load_no_scipy_part(tmp_path, argv):
+    loaded = scipy_loaded("from frontlab.cli import main\n"
+                          f"assert main({argv!r}) == 0", tmp_path)
+    assert not set(loaded) & set(_SCIPY_PARTS), loaded
+
+
+def test_shoot_loads_the_integrator_but_not_the_interpolator(tmp_path):
+    loaded = scipy_loaded("from frontlab.cli import main\n"
+                          f"assert main({_BASE_ARGV['shoot']!r}) == 0",
+                          tmp_path)
+    assert "scipy.integrate" in loaded
+    assert "scipy.interpolate" not in loaded

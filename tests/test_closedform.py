@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from frontlab import closedform as cf
-from frontlab.errors import BlowUp, DomainError, RegimeMismatch
+from frontlab.errors import (BlowUp, DomainError, InfeasibleSelection,
+                             RegimeMismatch)
 from frontlab.model import ModelParams, initial_data_build
 from frontlab.regimes import classify
 
@@ -164,6 +165,21 @@ def test_right_tail_specs_certify_everywhere():
         assert spec.sign == +1
         assert spec.reaction_free
         assert_certified(spec)
+
+
+def test_right_tail_refuses_a_factor_past_the_float_range_by_name():
+    # m (m-1) overflows even at the smallest mu tried, so the factor is NaN
+    # at every mu; it is refused by name, with no numpy warning
+    with pytest.raises(InfeasibleSelection, match="out of float range"):
+        cf.right_tail_spec(make_params(1e300, 300.0, 1.0), eps=1e-9)
+
+
+def test_right_tail_certifies_below_the_mus_that_leave_the_float_range():
+    # mu m (m-1) overflows for mu near 1 at m = 1e155, but not once mu is
+    # small: the search passes over the large mu without a warning
+    spec = cf.right_tail_spec(make_params(1e155, 300.0, 1.0), eps=1e-9)
+    assert spec.constants["mu"] == 2.0 ** -6
+    assert_certified(spec)
 
 
 def test_describe_is_json_ready():

@@ -293,6 +293,16 @@ def test_simulate_refuses_a_datum_outside_the_unit_interval(bad):
         simulate(lambda x: vals, grid, cfg, p)
 
 
+def test_simulate_refuses_an_envelope_past_the_float_range_by_name():
+    # exp(hi_rate t) overflows at the last snapshot: the grid-edge check
+    # names the float range, with no numpy warning
+    p = make_params(1.0, 1e-9, 2.0)
+    grid = grid_build("uniform", -10.0, 1e6, 200)
+    cfg = SolverConfig(dt=0.01, t_end=40.0)
+    with pytest.raises(DomainError, match="out of float range"):
+        simulate(initial_data_build(1.0, 1e-9, 2.0, 1.0), grid, cfg, p)
+
+
 def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
     # LAPACK can overflow without reporting an error; the step must not
     # pass such a solution on as a field
