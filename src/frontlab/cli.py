@@ -526,8 +526,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sp, None, as_json=True)
     sp.set_defaults(func=_cmd_construct)
 
-    for name, fn in (("shoot", _cmd_shoot), ("wave", _cmd_wave)):
-        sp = sub.add_parser(name)
+    for name, fn, text in (
+            ("shoot", _cmd_shoot, "classify one phase-plane shot at speed c"),
+            ("wave", _cmd_wave,
+             "shoot, then map a case-iii shot to a front profile")):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--c", type=float, required=True)
         sp.add_argument("--delta", type=float, default=0.5)
         sp.add_argument("--truncate", action="store_true",

@@ -22,21 +22,12 @@ from .model import (InitialData, ModelParams, default_reaction,
 from .regimes import UPPER_REGIMES, Regime, classify, gamma_effective
 
 __all__ = [
-    "GrowthSolution", "SubsolutionSpec", "Check",
+    "SubsolutionSpec", "Check",
     "growth_eval", "level_curve",
     "pme_bump_params", "fde_sub_params", "appendix_sub_params",
     "growth_super", "edge_clamp", "constant_speed_super", "right_tail_spec",
     "describe",
 ]
-
-
-@dataclass(frozen=True)
-class GrowthSolution:
-    """Pointwise-in-x solution of dw/dt = rho*w^beta, w(0,.) = u0."""
-
-    rho: float
-    beta: float
-    u0: Callable
 
 
 @dataclass(frozen=True)
@@ -95,6 +86,14 @@ def _enforce(kind: str, checks) -> tuple:
             raise InfeasibleSelection(
                 f"{kind}: {ch.name} fails (margin {ch.margin:.6g})")
     return checks
+
+
+def _epsilon(kind: str, params: ModelParams, epsilon: float) -> float:
+    # the one refusal of an epsilon outside (0, r), named for the kind
+    eps = float(epsilon)
+    if not 0.0 < eps < params.r:
+        raise InfeasibleSelection(f"{kind}: need 0 < epsilon < r")
+    return eps
 
 
 def _in_range(what: str, compute: Callable[[], float]) -> float:
@@ -214,22 +213,23 @@ def _samples(pieces) -> tuple:
 # ---------------------------------------------------------------------------
 # growth solutions and level curves
 
-def growth_eval(g: GrowthSolution, t, x):
-    """w(t,x): exponential growth (beta=1) or finite-time blow-up (beta>1).
+def growth_eval(u0: Callable, rho: float, beta: float, t, x):
+    """w(t,x) of dw/dt = rho*w^beta, w(0,.) = u0, pointwise in x:
+    exponential growth (beta=1) or finite-time blow-up (beta>1).
 
     t is a number or an array broadcast against x. Past blow-up at any
     evaluated point, BlowUp carries the earliest blow-up time over all of
     them.
     """
-    u = np.asarray(g.u0(x), dtype=float)
+    u = np.asarray(u0(x), dtype=float)
     t = np.asarray(t, dtype=float)
-    if g.beta == 1.0:
-        out = u * np.exp(g.rho * t)
+    if beta == 1.0:
+        out = u * np.exp(rho * t)
     else:
-        bm1 = g.beta - 1.0
-        base = u ** (-bm1) - g.rho * bm1 * t
+        bm1 = beta - 1.0
+        base = u ** (-bm1) - rho * bm1 * t
         if np.any(base <= 0.0):
-            t_min = float(np.min(u ** (-bm1))) / (g.rho * bm1)
+            t_min = float(np.min(u ** (-bm1))) / (rho * bm1)
             raise BlowUp(f"growth solution past blow-up (T={t_min:.6g})",
                          t_blow=t_min)
         out = base ** (-1.0 / bm1)
@@ -293,10 +293,7 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         raise RegimeMismatch("bump subsolution needs m > 1 and a finite tail")
     if beta > 1.0 and not beta < 1.0 + 1.0 / alpha:
         raise RegimeMismatch("bump subsolution needs beta < 1 + 1/alpha")
-    eps = float(epsilon)
-    if not 0.0 < eps < r:
-        raise InfeasibleSelection(
-            "bump subsolution: need 0 < epsilon < r (empty rho interval)")
+    eps = _epsilon("bump subsolution", params, epsilon)
     u0 = initial_data_build(params.C, alpha, params.x0, plateau=1.0)
     C = u0.C
     eta = 1.5 * max(beta - 1.0, 1.0)
@@ -336,11 +333,10 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
         Check("bump maximum <= s0", params.s0 - bump_max),
     ))
 
-    growth = GrowthSolution(rho=rho, beta=beta, u0=u0)
     cut = A ** (-1.0 / eta)
 
     def evaluate(t, x):
-        w = growth_eval(growth, t, x)
+        w = growth_eval(u0, rho, beta, t, x)
         return np.maximum(0.0, w - A * w ** (1.0 + eta))
 
     def sampler():
@@ -373,7 +369,6 @@ def _plateau_cut_spec(datum: InitialData, tail_C: float, tail_exp: float,
     # X(t) sits at the maximizer of w -> w(1 - A w^eta)
     theta_star = (A * (1.0 + eta)) ** (-1.0 / eta)
     plateau_val = theta_star * eta / (1.0 + eta)
-    growth = GrowthSolution(rho=rho, beta=beta, u0=datum)
 
     def X_of_t(t):
         return level_curve(theta_star, np.maximum(t, 0.0), tail_C, tail_exp,
@@ -384,7 +379,7 @@ def _plateau_cut_spec(datum: InitialData, tail_C: float, tail_exp: float,
         out = np.full(x.shape, plateau_val)
         mask = x > X_of_t(t)
         if mask.any():
-            w = growth_eval(growth, t[mask], x[mask])
+            w = growth_eval(datum, rho, beta, t[mask], x[mask])
             out[mask] = w * (1.0 - A * w ** eta)
         return out
 
@@ -416,10 +411,7 @@ def fde_sub_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     if not (beta < min(1.0 + 1.0 / gamma, m + 2.0 / gamma) or critical):
         raise RegimeMismatch(
             "plateau-cut subsolution needs beta < min(1+1/gamma, m+2/gamma)")
-    eps = float(epsilon)
-    if not 0.0 < eps < r:
-        raise InfeasibleSelection(
-            "plateau-cut subsolution: need 0 < epsilon < r")
+    eps = _epsilon("plateau-cut subsolution", params, epsilon)
     eta = max(beta - 1.0, 1.0) + 0.5
     rho = _rho_midpoint(r, eps, beta, eta)
 
@@ -505,9 +497,7 @@ def appendix_sub_params(params: ModelParams,
     if not (beta > 1.0 and m + 2.0 / alpha <= beta < 1.0 + 1.0 / alpha):
         raise RegimeMismatch(
             "generalized subsolution needs m+2/alpha <= beta < 1+1/alpha")
-    eps = float(epsilon)
-    if not 0.0 < eps < r:
-        raise InfeasibleSelection("generalized subsolution: need 0 < epsilon < r")
+    eps = _epsilon("generalized subsolution", params, epsilon)
     if not eps < C:
         raise InfeasibleSelection(
             "generalized subsolution: need epsilon < C (scaled datum)")
@@ -622,9 +612,7 @@ def growth_super(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     C_bar grows too.
     """
     m, alpha, beta = params.m, params.alpha, params.beta
-    eps = float(epsilon)
-    if not 0.0 < eps < params.r:
-        raise InfeasibleSelection("clamped growth: need 0 < epsilon < r")
+    eps = _epsilon("clamped growth", params, epsilon)
     kind = classify(m, alpha, beta)
     if kind.regime not in UPPER_REGIMES:
         raise RegimeMismatch(

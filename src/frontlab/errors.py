@@ -55,7 +55,12 @@ class DegenerateFit(FrontlabError):
 
 
 class NonTermination(FrontlabError):
-    """Phase-plane trajectory triggered no terminal event before y_max."""
+    """Phase-plane trajectory triggered no terminal event before y_max, or
+    stalled; a stalled shot carries the right-hand-side calls it made."""
+
+    def __init__(self, message: str, calls: int | None = None):
+        super().__init__(message)
+        self.calls = calls
 
 
 class SearchExhausted(FrontlabError):

@@ -65,6 +65,8 @@ _QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 # scipy.linalg.lapack.dptsv once the first _solver call binds it; a module
 # global, not a local import, so that a test can patch it
 dptsv = None
+# discrete_residual's stencil step in t and x, halved for its fine pass
+_RESIDUAL_H = 1e-3
 
 
 @dataclass(frozen=True)
@@ -371,38 +373,33 @@ def simulate(u0, grid: Grid, config: SolverConfig,
 
 
 def _pointwise_residual(candidate, params: ModelParams, ts: np.ndarray,
-                        xs: np.ndarray, h_t: float, h_x: float,
-                        reaction_free: bool) -> np.ndarray:
+                        xs: np.ndarray, h: float) -> np.ndarray:
     # one candidate call per stencil offset, on the aligned sample arrays
     m = params.m
     v0 = np.asarray(candidate(ts, xs), dtype=float)
-    vp = np.asarray(candidate(ts + h_t, xs), dtype=float)
-    vm = np.asarray(candidate(ts - h_t, xs), dtype=float)
-    vl = np.asarray(candidate(ts, xs - h_x), dtype=float)
-    vr = np.asarray(candidate(ts, xs + h_x), dtype=float)
-    lap = (vr ** m - 2.0 * v0 ** m + vl ** m) / h_x ** 2
-    f_v = 0.0 if reaction_free else reaction_eval(
-        params, np.clip(v0, 0.0, 1.0))
-    return (vp - vm) / (2.0 * h_t) - lap - f_v
+    vp = np.asarray(candidate(ts + h, xs), dtype=float)
+    vm = np.asarray(candidate(ts - h, xs), dtype=float)
+    vl = np.asarray(candidate(ts, xs - h), dtype=float)
+    vr = np.asarray(candidate(ts, xs + h), dtype=float)
+    lap = (vr ** m - 2.0 * v0 ** m + vl ** m) / h ** 2
+    f_v = (0.0 if getattr(candidate, "reaction_free", False)
+           else reaction_eval(params, np.clip(v0, 0.0, 1.0)))
+    return (vp - vm) / (2.0 * h) - lap - f_v
 
 
 def discrete_residual(traj, candidate, params: ModelParams,
-                      samples=None, h_t: float = 1e-3,
-                      h_x: float = 1e-3,
-                      reaction_free: Optional[bool] = None) -> ResidualReport:
-    """Residual d_t v - D^2(v^m) - f(v) of a candidate, with a refinement
-    tolerance (4/3)|R(h) - R(h/2)| + 1e-8 estimated by halving the stencils.
+                      samples=None) -> ResidualReport:
+    """Residual d_t v - D^2(v^m) - f(v) of a candidate (f = 0 when its
+    ``reaction_free`` attribute is true), with a refinement tolerance
+    (4/3)|R(h) - R(h/2)| + 1e-8 from halving the stencils' step h = 1e-3.
 
     The residual is taken at ``samples``, aligned arrays of t and x, or
     without them at every snapshot time of ``traj`` on every interior node
     of its grid. The derivatives use local centered stencils, and the
     candidate is called once per stencil offset on whole arrays, (t, x),
-    (t +- h_t, x) and (t, x +- h_x), so it must take aligned t and x
-    arrays: 10 calls for both step sizes, however many distinct times the
-    samples hold.
+    (t +- h, x) and (t, x +- h), so it must take aligned t and x arrays:
+    10 calls for both steps, however many distinct times the samples hold.
     """
-    if reaction_free is None:
-        reaction_free = bool(getattr(candidate, "reaction_free", False))
     if samples is None:
         x = traj.grid.x[1:-1]
         samples = (np.repeat(traj.times, x.size), np.tile(x, len(traj.times)))
@@ -410,10 +407,8 @@ def discrete_residual(traj, candidate, params: ModelParams,
     xs = np.asarray(samples[1], dtype=float)
     if ts.shape != xs.shape:
         raise DomainError("sample time and position arrays must align")
-    coarse = _pointwise_residual(candidate, params, ts, xs, h_t, h_x,
-                                 reaction_free)
-    fine = _pointwise_residual(candidate, params, ts, xs, 0.5 * h_t,
-                               0.5 * h_x, reaction_free)
+    coarse, fine = (_pointwise_residual(candidate, params, ts, xs, h)
+                    for h in (_RESIDUAL_H, 0.5 * _RESIDUAL_H))
     tol = (4.0 / 3.0) * float(np.abs(coarse - fine).max()) + 1e-8
     return ResidualReport(max_residual=float(fine.max()),
                           min_residual=float(fine.min()),

@@ -3,9 +3,11 @@
 The auxiliary equation V'' + c V' + g(V) = 0, V(0) = delta, V'(0) = 0 is
 integrated by LSODA (stiffness-switching Adams/BDF) with terminal event
 detection at fixed tolerances (module constants); a caller sets only
-the window y_max. A case-iii trajectory (V hits zero with strictly
-negative slope) is mapped back to a compactly supported profile through
-the mass-coordinate change x = int m V^(m-1).
+the window y_max. A shot that calls its right-hand side more than
+MAX_RHS_CALLS times has stalled and raises NonTermination with the count.
+A case-iii trajectory (V hits zero with strictly negative slope) is
+mapped back to a compactly supported profile through the mass-coordinate
+change x = int m V^(m-1).
 
 SciPy is imported where it runs, not at the top of the module: ``shoot``
 binds ``scipy.integrate.solve_ivp`` in its body, and ``engler_transform``
@@ -42,6 +44,9 @@ ATOL = 1e-11
 NORM_TOL = 1e-8
 SLOPE_TOL = 1e-8
 N_SAMPLES = 1500
+# a shot that makes more right-hand-side calls has stalled: terminating
+# shots take about 100 to 5,000, and a stalled one ~25 us a call
+MAX_RHS_CALLS = 50_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +131,16 @@ def shoot(c: float, delta: float, g: Callable,
     elif not y_max > 0.0:
         raise DomainError(f"y_max must be positive, got {y_max}")
 
+    calls = 0
+
     def rhs(_y, state):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_CALLS:
+            raise NonTermination(
+                f"shot stalled: no terminal event after {MAX_RHS_CALLS} "
+                f"right-hand-side calls (c={c}, delta={delta})",
+                calls=MAX_RHS_CALLS)
         v, vp = state
         return (vp, -c * vp - (g(v) if v > 0.0 else 0.0))
 
@@ -229,14 +243,18 @@ def find_compact_support_speed(g: Callable,
     """Halve c from 1 until the ignition-truncated shot is case iii.
 
     The returned certificate carries both the truncated-g shot and the
-    full-g shot at c0 (the comparison argument makes both case iii).
+    full-g shot at c0 (the comparison argument makes both case iii). A shot
+    with no terminal event before y_max moves on to the next speed; a
+    stalled shot's NonTermination is raised, not retried at every speed.
     """
     g_tilde = ignition_truncate(g, delta)
     c = 1.0
     for _ in range(41):
         try:
             res = shoot(c, delta, g_tilde)
-        except NonTermination:
+        except NonTermination as exc:
+            if exc.calls is not None:
+                raise
             res = None
         if res is not None and res.outcome == CASE_III:
             full = shoot(c, delta, g)

@@ -17,7 +17,7 @@ from frontlab.analysis import (
     tail_fattening_check,
     track_level,
 )
-from frontlab.closedform import GrowthSolution, growth_eval, level_curve
+from frontlab.closedform import growth_eval, level_curve
 from frontlab.errors import DegenerateFit, DomainError, EmptyTrace
 from frontlab.model import ModelParams
 from frontlab.regimes import envelopes
@@ -78,12 +78,15 @@ def test_track_level_matches_growth_level_curve():
     # sample the closed-form growth solution on a grid and re-extract its
     # level curve; agreement must be within one cell
     C, alpha, beta, rho = 1.0, 2.0, 1.5, 1.0
-    g = GrowthSolution(rho=rho, beta=beta,
-                       u0=lambda x: C * np.asarray(x, float) ** -alpha)
+
+    def u0(x):
+        return C * np.asarray(x, float) ** -alpha
+
     x = np.linspace(2.0, 400.0, 2000)
     cell = x[1] - x[0]
     times = (0.5, 1.0, 1.5)
-    frames = [(t, np.clip(growth_eval(g, t, x), 0.0, 1.0)) for t in times]
+    frames = [(t, np.clip(growth_eval(u0, rho, beta, t, x), 0.0, 1.0))
+              for t in times]
     trace = track_level(fake_traj(x, frames), 0.01)
     want = level_curve(0.01, np.asarray(times), C, alpha, beta, rho)
     assert np.max(np.abs(trace.x - want)) < cell

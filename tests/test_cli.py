@@ -225,6 +225,16 @@ def test_every_command_ends_with_its_files_a_manifest_and_one_document(
 
 # --- exit code mapping -----------------------------------------------------------
 
+def test_the_help_describes_every_command(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("classify", "construct", "shoot", "wave", "simulate",
+                    "analyze", "experiment", "sweep"):
+        assert re.search(rf"^ +{command} +\S", out, re.M), command
+
+
 def test_domain_errors_exit_2(tmp_path, capsys):
     assert main(["classify", "--m", "-1", "--alpha", "2", "--beta", "2"]) == 2
     with pytest.raises(SystemExit) as ei:
@@ -244,6 +254,31 @@ def test_numerical_failure_exits_3():
     # g ~ s^2.25 decays too slowly for the origin event inside the default
     # integration window
     assert main(["shoot", "--c", "10", "--m", "2", "--beta", "1.25"]) == 3
+
+
+def test_a_stalled_shot_exits_3(capsys):
+    # at r 1e200 the shot stalls near V = 0.5; the call cap ends it
+    assert main(["shoot", "--c", "1", "--m", "2", "--beta", "1",
+                 "--r", "1e200"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("frontlab: shot stalled") and "50000" in err
+    assert "Traceback" not in err
+
+
+def test_an_experiment_whose_floor_shot_stalls_exits_3(tmp_path, capsys):
+    # noacc's certified floor c0 shoots at the config's reaction; at r 1e200
+    # that shot stalls, and the bounds fail before anything is written
+    doc = json.loads((resources.files("frontlab") / "configs"
+                      / "noacc.json").read_text())
+    doc.update(r=1e200, r_bar=1e200)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["experiment", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("frontlab: shot stalled")
+    assert not out.exists()
 
 
 def test_wave_at_a_speed_with_no_case_iii_shot_exits_3(capsys):

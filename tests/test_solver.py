@@ -504,8 +504,10 @@ def test_grid_residual_vanishes_on_exact_heat_solution():
     def kernel(t, x):
         s = t + 1.0
         return 0.5 / np.sqrt(s) * np.exp(-np.asarray(x) ** 2 / (4.0 * s))
+    # a solution of the heat equation, so its residual leaves out f
+    kernel.reaction_free = True
 
-    rep = discrete_residual(probe, kernel, p, reaction_free=True)
+    rep = discrete_residual(probe, kernel, p)
     assert rep.n == 3 * (len(grid.x) - 2)
     assert abs(rep.max_residual) < 1e-3
     assert abs(rep.min_residual) < 1e-3
@@ -523,7 +525,7 @@ def test_sampled_residual_calls_the_candidate_once_per_stencil_offset():
 
     rep = discrete_residual(None, counting, p, samples=(ts, xs))
     assert np.unique(ts).size > 200
-    # five offsets, (t, x), (t +- h_t, x), (t, x +- h_x), at two step sizes
+    # five offsets, (t, x), (t +- h, x), (t, x +- h), at two step sizes
     assert calls == [ts.shape] * 10
     assert rep == discrete_residual(None, spec, p, samples=(ts, xs))
 

@@ -6,13 +6,15 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from frontlab.cli import main
-from frontlab.errors import DomainError, NonTermination, TransformError
+from frontlab.errors import (DomainError, NonTermination, SearchExhausted,
+                             TransformError)
 from frontlab.model import ModelParams, default_reaction
 from frontlab.waves import (
     ATOL,
     CASE_I,
     CASE_II,
     CASE_III,
+    MAX_RHS_CALLS,
     NORM_TOL,
     RTOL,
     SLOPE_TOL,
@@ -67,6 +69,20 @@ def test_g_fn_rejects_a_nonpositive_m(m):
 def test_shoot_without_dynamics_never_terminates():
     with pytest.raises(NonTermination):
         shoot(0.0, 0.5, lambda s: 0.0)
+
+
+def stalling_g():
+    # at r 1e200 LSODA stalls near V = 0.5, with no event and short of the
+    # end of the window
+    params = ModelParams(m=2.0, alpha=math.inf, beta=1.0, r=1e200,
+                         r_bar=1e200, C=1.0, C_bar=1.0, s0=0.5, x0=2.0)
+    return g_fn(2.0, default_reaction(params))
+
+
+def test_a_stalled_shot_raises_non_termination_with_its_call_count():
+    with pytest.raises(NonTermination, match="stalled") as exc:
+        shoot(1.0, 0.5, stalling_g())
+    assert exc.value.calls == MAX_RHS_CALLS
 
 
 def test_shoot_validates_inputs():
@@ -349,6 +365,21 @@ def test_speed_search_is_monotone_below_the_certificate():
     cert = find_compact_support_speed(g, 0.3)
     again = shoot(cert.c0 / 2.0, 0.3, g)
     assert again.outcome == CASE_III
+
+
+def test_speed_search_gives_up_after_its_last_halving():
+    # g = 0 never reaches an event: each of the 41 shots runs to the end of
+    # its window, and none stalls, so the search moves on each time
+    with pytest.raises(SearchExhausted, match="40 halvings"):
+        find_compact_support_speed(lambda s: 0.0, 0.5)
+
+
+def test_speed_search_raises_a_stalled_shot_at_once():
+    # a shot that runs out of window moves the search on; a stalled one
+    # ends it, instead of stalling again at each of 41 speeds
+    with pytest.raises(NonTermination) as exc:
+        find_compact_support_speed(stalling_g(), 0.5)
+    assert exc.value.calls == MAX_RHS_CALLS
 
 
 def test_zero_speed_energy_identity():
