@@ -79,7 +79,11 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Stream the chunks into a temp file beside ``path`` and rename it over
     ``path``; on any error the temp file goes and ``path`` is untouched."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot make the output directory {path.parent}: "
+                          f"{exc.strerror}") from None
     tmp = path.parent / f".tmp-{secrets.token_hex(8)}"
     # O_EXCL never opens an existing file, and mode 0o666 leaves the
     # permissions to the umask, as open(path, "w") would (mkstemp would
@@ -202,7 +206,12 @@ def read_trajectory_csv(path: Path) -> tuple:
     """(trajectory, run sha256): rebuild, row by row, a trajectory written
     by `write_trajectory_csv`, and read the run digest its header ends with.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DomainError(f"cannot read trajectory {path}: "
+                          f"{exc.strerror}") from None
+    with fh:
         header = fh.readline().rstrip(b"\n").decode("utf-8", "replace")
         head, tag, run = header.partition(_RUN_TAG)
         if (head != _TRAJECTORY_HEADER
@@ -474,6 +483,8 @@ def _sweep_lines(m: float, alphas: list, betas: np.ndarray):
     alpha row from one classify_row call; each axis value is formatted
     once, and per cell only its gamma or exponent."""
     yield "m,alpha,beta,regime,gamma,exponent,label,status\n"
+    if not (alphas and betas.size):
+        return
     m_text = _fmt(m)
     b_texts = [_fmt(b) for b in betas.tolist()]
     tails = _sweep_tails()

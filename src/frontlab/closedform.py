@@ -56,9 +56,7 @@ class SubsolutionSpec:
     ``evaluate(t, x)`` takes float arrays t and x that broadcast together
     (aligned arrays of one shape in the sampled residual check, which makes
     one call per stencil offset) and returns the candidate on their
-    broadcast shape, each value depending on its own (t, x) alone. Calling
-    the spec also takes numbers: two numbers are evaluated as one-point
-    arrays and give a float, the same bits as in an array call.
+    broadcast shape, each value depending on its own (t, x) alone.
     """
 
     kind: str
@@ -70,13 +68,7 @@ class SubsolutionSpec:
     reaction_free: bool = False
 
     def __call__(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if t.ndim or x.ndim:
-            return self.evaluate(t, x)
-        # numpy's scalar arithmetic rounds pow differently from its array
-        # loops, so a number goes through the array path too
-        return float(self.evaluate(t[None], x[None])[0])
+        return self.evaluate(t, x)
 
 
 def _enforce(kind: str, checks) -> tuple:
@@ -110,40 +102,42 @@ def _in_range(what: str, compute: Callable[[], float]) -> float:
     return value
 
 
-def _grow_until(pred, start: float, label: str) -> float:
-    # doubling search, then log-bisection down to ~3 significant digits
+def _scan(pred, start: float, factor: float, tries: int,
+          message: str) -> float:
+    # the first of start, start*factor, ... (tries values) that pred accepts
     x = float(start)
-    if pred(x):
-        return x
-    for _ in range(70):
-        hi = 2.0 * x
-        if pred(hi):
-            lo = x
-            while hi / lo > 1.002:
-                mid = math.sqrt(lo * hi)
-                if pred(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        x = hi
-    raise InfeasibleSelection(f"no finite choice satisfies {label}")
-
-
-def _shrink_until(pred, start: float, label: str) -> float:
-    x = float(start)
-    for _ in range(90):
+    for _ in range(tries):
         if pred(x):
             return x
-        x *= 0.5
-    raise InfeasibleSelection(f"no positive choice satisfies {label}")
+        x *= factor
+    raise InfeasibleSelection(message)
 
 
-def _rho_midpoint(r: float, eps: float, beta: float, eta: float) -> float:
+def _grow_until(pred, start: float, label: str) -> float:
+    # doubling search, then log-bisection down to ~3 significant digits;
+    # start itself, when accepted, is not bisected
+    hi = _scan(pred, start, 2.0, 71, f"no finite choice satisfies {label}")
+    lo = max(float(start), hi / 2.0)
+    while hi / lo > 1.002:
+        mid = math.sqrt(lo * hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _rho(kind: str, r: float, eps: float, beta: float, eta: float) -> float:
+    # the midpoint of (max(r beta/(1+eta), r-eps), r), refused unless r-rho,
+    # rho-r beta/(1+eta) and rho(1+eta)-r beta are positive in floats; the
+    # last can round to 0 when the interval is a few ulps wide
     lo = max(r * beta / (1.0 + eta), r - eps)
-    if not lo < r:
-        raise InfeasibleSelection("empty rho interval")
-    return 0.5 * (lo + r)
+    rho = 0.5 * (lo + r)
+    if not (lo < rho < r and rho * (1.0 + eta) > r * beta):
+        raise InfeasibleSelection(
+            f"{kind}: the rho interval (max(r beta/(1+eta), r-epsilon), r) "
+            f"is too narrow for floats")
+    return rho
 
 
 def _rho_checks(r: float, eps: float, beta: float, eta: float,
@@ -164,19 +158,15 @@ def _plateau_A(kappa: float, eta: float, s0: float) -> float:
 def _enlarge_tail(ok, C: float, x0: float, a: float, onset_margin: float,
                   critical: bool, message: str) -> tuple:
     # keep the datum onset C/x0^a below 1: x0 moves to 2 C^(1/a) unless the
-    # onset lies below onset_margin^a already. Then double x0 (and C on a
-    # critical curve, where the x0-exponents vanish) until ok(C, x0).
+    # onset lies below onset_margin^a already. Then scale x0 (and C on a
+    # critical curve, where the x0-exponents vanish) by 2^k until ok(C, x0)
     onset_x = _in_range(f"the tail onset C^(1/a) at C {C:.6g}, a {a:.6g}",
                         lambda: C ** (1.0 / a))
     if onset_x >= onset_margin * x0:
         x0 = 2.0 * onset_x
-    for _ in range(200):
-        if ok(C, x0):
-            return C, x0
-        x0 *= 2.0
-        if critical:
-            C *= 2.0
-    raise InfeasibleSelection(message)
+    k = _scan(lambda k: ok(C * k if critical else C, x0 * k), 1.0, 2.0, 200,
+              message)
+    return (C * k if critical else C), x0 * k
 
 
 def _slow_tail_terms(m: float, alpha: float, beta: float, C: float,
@@ -297,7 +287,7 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
     u0 = initial_data_build(params.C, alpha, params.x0, plateau=1.0)
     C = u0.C
     eta = 1.5 * max(beta - 1.0, 1.0)
-    rho = _rho_midpoint(r, eps, beta, eta)
+    rho = _rho("bump subsolution", r, eps, beta, eta)
 
     # alpha (beta-1) < 1 in this regime
     def slope_term(x):
@@ -309,8 +299,6 @@ def pme_bump_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
 
     rhs_slope = r - rho
     rhs_curv = rho - r * beta / (1.0 + eta)
-    if min(rhs_slope, rhs_curv) <= 0.0:
-        raise InfeasibleSelection("bump subsolution: rho interval violated")
     x1 = _grow_until(
         lambda x: slope_term(x) <= rhs_slope and curv_term(x) <= rhs_curv,
         start=2.0 * u0.x0, label="the tail slope/curvature estimates")
@@ -413,7 +401,7 @@ def fde_sub_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
             "plateau-cut subsolution needs beta < min(1+1/gamma, m+2/gamma)")
     eps = _epsilon("plateau-cut subsolution", params, epsilon)
     eta = max(beta - 1.0, 1.0) + 0.5
-    rho = _rho_midpoint(r, eps, beta, eta)
+    rho = _rho("plateau-cut subsolution", r, eps, beta, eta)
 
     theta_coef = 2.0 * m + beta + eta - 1.0 + (1.0 - m) * 2.0 * eta / (1.0 + eta)
     pow_x = 2.0 + (m - beta) * gamma          # >= 0 in this regime
@@ -437,8 +425,6 @@ def fde_sub_params(params: ModelParams, epsilon: float) -> SubsolutionSpec:
 
     rhs1 = r - rho
     rhs23 = rho * (1.0 + eta) - r * beta
-    if min(rhs1, rhs23) <= 0.0:
-        raise InfeasibleSelection("plateau-cut subsolution: rho interval violated")
 
     def tails_ok(Cv, xv):
         return (lhs1(Cv, xv) <= rhs1 and lhs2(Cv, xv) <= rhs23
@@ -502,7 +488,7 @@ def appendix_sub_params(params: ModelParams,
         raise InfeasibleSelection(
             "generalized subsolution: need epsilon < C (scaled datum)")
     eta = beta + 2.5
-    rho = _rho_midpoint(r, eps, beta, eta)
+    rho = _rho("generalized subsolution", r, eps, beta, eta)
 
     Ce = C - eps
     x0 = params.x0
@@ -519,9 +505,9 @@ def appendix_sub_params(params: ModelParams,
                     + (1.0 - m) * A * eta ** 2 * d ** eta
                     / (1.0 - A * d ** eta))
 
-    delta = _shrink_until(
-        lambda d: delta2_lhs(d) < m + beta - 1.0,
-        start=0.5 * theta_star, label="the small-w curvature condition")
+    delta = _scan(lambda d: delta2_lhs(d) < m + beta - 1.0, 0.5 * theta_star,
+                  0.5, 90, "no positive choice satisfies the small-w "
+                  "curvature condition")
 
     # time threshold: the tail-slope estimate must hold for all x >= X(T)
     phi_pow2 = 2.0 * (alpha + 1.0 - alpha * beta)   # > 0 here
@@ -769,19 +755,16 @@ def constant_speed_super(params: ModelParams) -> SubsolutionSpec:
 
     z0_pow = _in_range(what + "z0^(mp+2)", lambda: z0 ** (mp + 2.0))
 
-    def compact_ok(cv, z2v):
+    def both_bounds(cv):
+        z2v = z_far(cv)
+        if z2v is None:
+            return False
         z2_pow = _in_range(what + "z2^(p+1)", lambda: z2v ** (p + 1.0))
         return num / z0_pow - cv * K * p / z2_pow + sup_f <= 0.0
 
-    c = 2.0 * base
-    for _ in range(80):
-        z2 = z_far(c)
-        if z2 is not None and compact_ok(c, z2):
-            break
-        c *= 2.0
-    else:
-        raise InfeasibleSelection(
-            "constant-speed supersolution: no speed satisfies both bounds")
+    c = _scan(both_bounds, 2.0 * base, 2.0, 80,
+              what + "no speed satisfies both bounds")
+    z2 = z_far(c)
 
     # true residual (w^m)'' + c w' + f(w) on the advertised z-grid, whose
     # nodes are >= z0 >= 1, so its largest power is at its right end
@@ -850,8 +833,8 @@ def right_tail_spec(params: ModelParams, eps: float = 0.1) -> SubsolutionSpec:
         return margins[-1] >= 1e-9
 
     try:
-        mu = _shrink_until(positive, start=1.0,
-                           label="the right-tail positivity condition")
+        mu = _scan(positive, 1.0, 0.5, 90, "no positive choice satisfies the "
+                   "right-tail positivity condition")
     except InfeasibleSelection:
         # named for the float range when even the smallest mu left it
         _in_range("right-tail supersolution: the positivity factor at the "

@@ -363,10 +363,15 @@ def bundle_from_dict(doc: dict) -> ConfigBundle:
 
 def read_config(path) -> dict:
     """Load a JSON config document from disk; it must be one JSON object."""
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path}: "
+                          f"{exc.strerror}") from None
+    with fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise DomainError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")

@@ -20,9 +20,9 @@ the system with one LAPACK ``dptsv`` call (L D L^T, no pivoting). Bare
 arrays pass from step to step; a Field is built at each snapshot. ``step``
 is a one-shot use of the same stepper.
 
-``dptsv`` is a module global, None until the first ``_solver`` call binds it
-from ``scipy.linalg.lapack``. So importing this module loads no SciPy, and
-only a command that steps loads LAPACK.
+``_solver`` imports ``dptsv`` from ``scipy.linalg.lapack`` in its body, so
+importing this module loads no SciPy, and only a command that steps loads
+LAPACK.
 
 The floor is 1e-12 for m >= 1 and 1e-300 for m < 1, where the diffusivity
 (at most 1e300) follows the true one down the tail the rate sees. At a zero
@@ -62,9 +62,6 @@ _TIME_TOL = 1e-12
 _FLOOR, _FAST_FLOOR = 1e-12, 1e-300
 # every step runs under this; its explicit checks refuse what it silences
 _QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
-# scipy.linalg.lapack.dptsv once the first _solver call binds it; a module
-# global, not a local import, so that a test can patch it
-dptsv = None
 # discrete_residual's stencil step in t and x, halved for its fine pass
 _RESIDUAL_H = 1e-3
 
@@ -184,9 +181,7 @@ def _solver(op: tuple, dt: float) -> Callable:
     The dt-only parts and the buffer are taken once. Solves run under
     np.errstate(**_QUIET); the scans turn an overflow into StabilityFailure.
     """
-    global dptsv
-    if dptsv is None:
-        from scipy.linalg.lapack import dptsv
+    from scipy.linalg.lapack import dptsv
     inv_h, w, inv_sum = op
     # an overflow is reported below as a typed failure, not a warning
     with np.errstate(over="ignore"):

@@ -9,6 +9,7 @@ import stat
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -1080,6 +1081,64 @@ def test_an_epsilon_outside_0_r_is_refused_in_every_regime(tmp_path, capsys):
     assert not (out / "experiment_manifest.json").exists()
 
 
+@pytest.mark.parametrize("case", ["missing-config", "config-is-a-directory",
+                                  "config-not-utf8", "missing-trajectory",
+                                  "out-is-a-file"])
+def test_a_path_that_cannot_be_read_or_made_exits_2(tmp_path, capsys, case):
+    # each once escaped main as an OSError or UnicodeDecodeError traceback.
+    # Paths that are missing or the wrong kind of file, not unreadable ones:
+    # a file's permissions do not stop a process that runs as root
+    cfgs = resources.files("frontlab") / "configs"
+    path = tmp_path / "missing.json"
+    argv = ["simulate", "--config", str(path)]
+    if case == "config-is-a-directory":
+        path = tmp_path
+        argv = ["simulate", "--config", str(path)]
+    elif case == "config-not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    elif case == "missing-trajectory":
+        path = tmp_path / "missing.csv"
+        argv = ["analyze", "--config", str(cfgs / "noacc.json"),
+                "--traj", str(path), "--out", str(tmp_path / "out")]
+    elif case == "out-is-a-file":
+        path.write_text("")
+        argv = ["sweep", "--m", "2", "--alpha-min", "1", "--alpha-max", "2",
+                "--alpha-steps", "2", "--beta-min", "1", "--beta-max", "2",
+                "--beta-steps", "2", "--out", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("frontlab: ") and err.count("\n") == 1
+    if case != "config-not-utf8":
+        assert str(path) in err
+
+
+# pme-bump, fde-sub and appendix-sub at epsilon 1e-17 (r - epsilon rounds to
+# r = 1) and 1.1e-16 (the midpoint rounds onto r); then fde-sub at a beta
+# near 1e15, where rho (1+eta) rounds onto r beta inside the interval
+RHO_EDGES = [
+    (kind + " --r 1 --epsilon " + eps, name)
+    for kind, name in (("pme-bump --m 2 --alpha 1 --beta 1", "bump"),
+                       ("fde-sub --m 0.5 --alpha 8 --beta 1", "plateau-cut"),
+                       ("appendix-sub --m 0.5 --alpha 3 --beta 1.2",
+                        "generalized"))
+    for eps in ("1e-17", "1.1e-16")
+] + [("fde-sub --m 0.5 --alpha 1e-16 --beta 1753262345350927.5 "
+      "--r 2.234731694926842e-10 --r-bar 1 --epsilon 1.5878723722031239e-24",
+      "plateau-cut")]
+
+
+@pytest.mark.parametrize("flags,name", RHO_EDGES,
+                         ids=[f"{f.split()[0]}-{f.split()[-1]}"
+                              for f, _ in RHO_EDGES])
+def test_a_rho_interval_too_narrow_for_floats_is_one_refusal(
+        capsys, flags, name):
+    assert main(["construct", "--kind", *flags.split()]) == 4
+    assert capsys.readouterr().err == (
+        f"frontlab: {name} subsolution: the rho interval "
+        f"(max(r beta/(1+eta), r-epsilon), r) is too narrow for floats\n")
+
+
 def test_experiment_report_carries_the_envelope_verdict(tmp_path):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "exp"
@@ -1158,6 +1217,25 @@ def test_sweep_with_no_cells_writes_a_header(tmp_path, capsys):
     assert last_json(capsys)["rows"] == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines == ["m,alpha,beta,regime,gamma,exponent,label,status"]
+
+
+@pytest.mark.parametrize("alpha_steps,beta_steps",
+                         [("1000000", "0"), ("0", "1000000")])
+def test_an_empty_sweep_returns_after_its_header(tmp_path, capsys,
+                                                 alpha_steps, beta_steps):
+    # the long axis is neither classified nor formatted: 1e6 alphas took
+    # 14.6 s when each row was classified against no betas
+    t0 = time.perf_counter()
+    rc = main(["sweep", "--m", "2", "--alpha-min", "1", "--alpha-max", "2",
+               "--alpha-steps", alpha_steps, "--beta-min", "1",
+               "--beta-max", "2", "--beta-steps", beta_steps,
+               "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert last_json(capsys)["rows"] == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines == ["m,alpha,beta,regime,gamma,exponent,label,status"]
+    assert elapsed < 1.0
 
 
 # sha256 of trajectory.csv, report.json and trace.csv from `experiment` on a

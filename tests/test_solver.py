@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dptsv
 
-from frontlab import solver as solver_module
 from frontlab.analysis import track_level
 from frontlab.cli import _run_config
 from frontlab.closedform import edge_clamp, pme_bump_params
@@ -309,7 +308,8 @@ def test_non_finite_solve_output_is_a_stability_failure(monkeypatch):
     def overflowing_dptsv(d, e, b, *overwrite):
         return d, e, np.full_like(b, np.inf), 0
 
-    monkeypatch.setattr(solver_module, "dptsv", overflowing_dptsv)
+    # _solver imports dptsv at call time, so it reads the patched attribute
+    monkeypatch.setattr("scipy.linalg.lapack.dptsv", overflowing_dptsv)
     p = make_params(2.0, 2.0, 1.25)
     grid = grid_build("uniform", -5.0, 20.0, 100)
     cfg = SolverConfig(dt=1e-2, t_end=1.0, right="zero-value")
